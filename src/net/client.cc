@@ -186,10 +186,10 @@ Client::transmit(const std::vector<uint8_t> &frame)
 }
 
 Frame
-Client::awaitFrame()
+Client::awaitFrame(int hold_ms)
 {
     const Clock::time_point deadline = wallNow() +
-        std::chrono::milliseconds(config.requestTimeoutMs);
+        std::chrono::milliseconds(config.requestTimeoutMs + hold_ms);
     Frame frame;
     for (;;) {
         if (decoder.next(&frame)) {
@@ -220,8 +220,9 @@ Client::runJob(const JobSpec &spec,
         try {
             ensureConnected();
             transmit(makeSubmit(spec));
+            int hold_ms = 0;
             for (;;) {
-                const Frame reply = awaitFrame();
+                const Frame reply = awaitFrame(hold_ms);
                 WireReader r(reply.payload);
                 switch (static_cast<MsgType>(reply.type)) {
                   case MsgType::JobResult: {
@@ -266,10 +267,12 @@ Client::runJob(const JobSpec &spec,
                     (void)got_id;
                     if (on_progress)
                         on_progress(state);
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(
-                            config.pollIntervalMs));
-                    transmit(makePoll(id));
+                    // No client-side sleep: the server holds the poll
+                    // until the state moves or pollIntervalMs runs out,
+                    // so the reply may legitimately take that long on
+                    // top of the exchange budget.
+                    hold_ms = std::max(0, config.pollIntervalMs);
+                    transmit(makePoll(id, static_cast<uint32_t>(hold_ms)));
                     continue;
                   }
                   case MsgType::Error: {

@@ -95,7 +95,10 @@ struct ClientConfig
     /** Budget for one request/response exchange, milliseconds. */
     int requestTimeoutMs = 5000;
     int connectTimeoutMs = 2000;
-    /** Pause between Poll frames while a job runs, milliseconds. */
+    /** Longest gap between progress reports while a job is queued or
+     *  running, milliseconds: each Poll asks the server to hold it at
+     *  most this long (waitMs) and answer earlier on any state change.
+     *  The client never sleeps between polls. */
     int pollIntervalMs = 20;
     RetryPolicy retry;
     /** Jitter stream seed (backoff determinism in tests). */
@@ -137,12 +140,14 @@ class Client
 
     /**
      * Submit @p spec and drive it to completion: connect/handshake,
-     * submit, poll while running, and retry the whole exchange (with
-     * backoff) across any transient failure.
+     * submit, hold-poll while queued or running, and retry the whole
+     * exchange (with backoff) across any transient failure.
      *
      * @param on_progress Invoked after every successful status exchange
-     *        with the server-reported state (the fleet coordinator
-     *        renews its shard lease from this heartbeat); may be empty.
+     *        with the server-reported state -- on each state change,
+     *        and at least every pollIntervalMs while the job is
+     *        unfinished (the fleet coordinator renews its shard lease
+     *        from this heartbeat); may be empty.
      * @throws ClientError when retries are exhausted or the server
      *         reports the job Failed or Expired (kind tells which).
      */
@@ -173,8 +178,9 @@ class Client
     void ensureConnected();
     /** Send one frame through the fault injector. */
     void transmit(const std::vector<uint8_t> &frame);
-    /** Block for the next complete frame, within the request timeout. */
-    Frame awaitFrame();
+    /** Block for the next complete frame, within the request timeout
+     *  plus @p hold_ms (the server-side hold of a pending Poll). */
+    Frame awaitFrame(int hold_ms = 0);
 
     ClientConfig config;
     ClientStats clientStats;

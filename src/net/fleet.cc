@@ -197,6 +197,9 @@ Coordinator::workerLoop(size_t widx)
     cc.fleetKey = config.fleetKey;
     cc.requestTimeoutMs = config.requestTimeoutMs;
     cc.connectTimeoutMs = config.connectTimeoutMs;
+    // Each poll is held at most heartbeatMs on the worker, so a running
+    // job still reports (and renews its lease) at least once per
+    // heartbeat; a state change answers sooner.
     cc.pollIntervalMs = config.heartbeatMs;
     cc.retry = config.retry;
     cc.jitterSeed = 0x1eafull + widx;
@@ -239,9 +242,10 @@ Coordinator::workerLoop(size_t widx)
                 const JobOutcome outcome =
                     client.runJob(jobs[j], [this, shard, gen](JobState) {
                         // Heartbeat: every successful poll exchange
-                        // renews the lease; a fenced lease aborts the
-                        // job mid-poll (ShardFenced flies through the
-                        // retry spine, see above).
+                        // (held at most heartbeatMs) renews the lease;
+                        // a fenced lease aborts the job mid-poll
+                        // (ShardFenced flies through the retry spine,
+                        // see above).
                         std::lock_guard<std::mutex> g(m);
                         if (!leases.renew(shard, gen, wallNowMs()))
                             throw ShardFenced{};

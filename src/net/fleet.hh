@@ -17,8 +17,10 @@
  *     READY --grant(worker w, gen g)--> HELD(w, g)
  *     HELD  --renew(g) within leaseMs-> HELD      (heartbeat: every
  *                                                  successful poll
- *                                                  exchange, and each
- *                                                  job completion)
+ *                                                  exchange -- held at
+ *                                                  most heartbeatMs --
+ *                                                  and each job
+ *                                                  completion)
  *     HELD  --release(g)-------------> READY-or-DONE (shard finished,
  *                                                  or holder failed and
  *                                                  requeued it)
@@ -110,8 +112,9 @@ struct FleetConfig
     size_t shardCount = 0;
     /** Lease duration: a shard unrenewed this long is re-dispatched. */
     int leaseMs = 3000;
-    /** Poll cadence toward workers == lease renewal cadence.  Must be
-     *  well under leaseMs or healthy workers get fenced off. */
+    /** Longest hold of each poll toward a worker == longest gap
+     *  between lease renewals while a job runs.  Must be well under
+     *  leaseMs or healthy workers get fenced off. */
     int heartbeatMs = 100;
     /** Expiry sweep cadence; 0 = leaseMs / 4. */
     int leaseCheckMs = 0;

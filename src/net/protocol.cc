@@ -239,10 +239,11 @@ makeSubmitted(uint64_t job_id, JobState state)
 }
 
 std::vector<uint8_t>
-makePoll(uint64_t job_id)
+makePoll(uint64_t job_id, uint32_t wait_ms)
 {
     WireWriter w;
     w.u64(job_id);
+    w.u32(wait_ms);
     return frameOf(MsgType::Poll, w);
 }
 

@@ -11,7 +11,9 @@
  *     Submit(spec)            ->
  *                             <-    JobResult          (done/cached)
  *                             <-    Submitted(id, st)  (otherwise)
- *     Poll(id)                ->
+ *     Poll(id, waitMs)        ->     (held until the job's state moves
+ *                                     off the one last reported, or
+ *                                     waitMs runs out)
  *                             <-    Submitted(id, st) | JobResult | JobError
  *
  * ## Idempotency contract
@@ -49,8 +51,11 @@ namespace net {
 /** Protocol revision; Hello/HelloOk must agree exactly.
  *  v2: auth handshake frames (net/auth.hh) and a JobState byte in
  *  JobError so clients can tell deadline expiry from execution failure
- *  without string matching. */
-constexpr uint32_t kProtocolVersion = 2;
+ *  without string matching.
+ *  v3: Poll carries a u32 waitMs; the server holds the poll until the
+ *  job's state changes or the wait runs out, instead of answering at
+ *  once (waitMs = 0 keeps the immediate answer). */
+constexpr uint32_t kProtocolVersion = 3;
 
 /** Frame types. */
 enum class MsgType : uint8_t
@@ -144,7 +149,8 @@ std::vector<uint8_t> makeHello();
 std::vector<uint8_t> makeHelloOk();
 std::vector<uint8_t> makeSubmit(const JobSpec &spec);
 std::vector<uint8_t> makeSubmitted(uint64_t job_id, JobState state);
-std::vector<uint8_t> makePoll(uint64_t job_id);
+/** @p wait_ms: longest hold before the server answers (v3). */
+std::vector<uint8_t> makePoll(uint64_t job_id, uint32_t wait_ms);
 std::vector<uint8_t> makeJobResult(uint64_t job_id,
                                    const std::vector<uint8_t> &result_bytes);
 std::vector<uint8_t> makeJobError(uint64_t job_id, JobState state,

@@ -1,5 +1,6 @@
 #include "server.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -97,7 +98,20 @@ struct Server::Impl
     explicit Impl(const ServerConfig &config_in)
         : config(config_in), nonces(config_in.authNonceSeed)
     {
+        // Created before any thread exists and never reassigned:
+        // requestDrain() may wake() from any thread, even before serve().
+        if (::pipe2(wakePipe, O_NONBLOCK | O_CLOEXEC) != 0)
+            react_fatal("reactd: cannot create wake pipe");
     }
+
+    ~Impl()
+    {
+        ::close(wakePipe[0]);
+        ::close(wakePipe[1]);
+    }
+
+    Impl(const Impl &) = delete;
+    Impl &operator=(const Impl &) = delete;
 
     ServerConfig config;
     ServerStats stats;
@@ -132,7 +146,10 @@ struct Server::Impl
 
     // ---- drain coordination --------------------------------------
     std::atomic<bool> draining{false};
-    std::atomic<bool> executorDone{false};
+    /** Workers still taking jobs; serve() returns once a drain has
+     *  brought this to zero. */
+    std::atomic<int> liveWorkers{0};
+    /** Self-pipe: workers and requestDrain() wake the I/O loop. */
     int wakePipe[2] = {-1, -1};
 
     // ---- connections (I/O thread only) ---------------------------
@@ -151,26 +168,48 @@ struct Server::Impl
         /** An AuthChallenge was issued; nonce below is live. */
         bool challenged = false;
         AuthNonce nonce = {};
+        /** The job state this connection was last told (Submitted
+         *  replies only); a Poll is held while the job still has it. */
+        bool reported = false;
+        uint64_t reportedId = 0;
+        JobState reportedState = JobState::Queued;
+        /** A Poll for reportedId is held: it queues no outbuf bytes
+         *  until the state changes, heldUntil passes, or the peer sends
+         *  its next request. */
+        bool holding = false;
+        Clock::time_point heldUntil;
     };
     std::vector<std::unique_ptr<Connection>> connections;
 
     void wake()
     {
-        if (wakePipe[1] >= 0) {
-            const uint8_t byte = 1;
-            // Best-effort: a full pipe already guarantees a pending wake.
-            [[maybe_unused]] const ssize_t rc =
-                ::write(wakePipe[1], &byte, 1);
-        }
+        const uint8_t byte = 1;
+        // Best-effort: a full pipe already guarantees a pending wake.
+        [[maybe_unused]] const ssize_t rc = ::write(wakePipe[1], &byte, 1);
     }
 
-    // ---- executor -------------------------------------------------
-    void executorLoop();
-    void runBatch(std::vector<uint64_t> batch_ids);
+    // ---- workers (jobsLock held where noted) ----------------------
+    void workerLoop();
+    /** Run one job's cell and encode its result; throws on failure. */
+    std::vector<uint8_t> runJob(uint64_t id, const JobSpec &spec) const;
+    /** Queued -> Expired once the queue deadline lapsed (jobsLock). */
+    bool expireIfLate(Job &job, uint64_t id, Clock::time_point now);
     void evictOverflow();
 
     // ---- protocol -------------------------------------------------
     void handleFrame(Connection *conn, const Frame &frame);
+    /** Queue Submitted(@p id, @p state) and remember what was told. */
+    void sendSubmitted(Connection *conn, uint64_t id, JobState state);
+    /** Answer a Poll for @p id with the job's current state
+     *  (jobsLock). */
+    void replyPoll(Connection *conn, uint64_t id, Clock::time_point now);
+    /** Answer @p conn's held Poll now (jobsLock). */
+    void releaseHold(Connection *conn, Clock::time_point now);
+    /** Answer every held Poll whose job changed state or whose hold
+     *  ran out (all of them when @p release_all); returns the nearest
+     *  remaining hold deadline, or Clock::time_point::max(). */
+    Clock::time_point answerHeldPolls(Clock::time_point now,
+                                      bool release_all);
     void sendFrame(Connection *conn, const std::vector<uint8_t> &frame);
     void flushConnection(Connection *conn);
 };
@@ -204,10 +243,7 @@ Server::boundEndpoint() const
 void
 Server::requestDrain()
 {
-    // Order matters: raise draining before the runner stop flag so the
-    // executor cannot clear the stop request after we set it.
     impl->draining.store(true, std::memory_order_release);
-    harness::ParallelRunner::requestStop();
     impl->jobsCv.notify_all();
     impl->wake();
 }
@@ -262,148 +298,118 @@ Server::Impl::evictOverflow()
     }
 }
 
-void
-Server::Impl::runBatch(std::vector<uint64_t> batch_ids)
+bool
+Server::Impl::expireIfLate(Job &job, uint64_t id, Clock::time_point now)
 {
-    struct Slot
-    {
-        uint64_t id = 0;
-        JobSpec spec;
-        std::vector<uint8_t> resultBytes;
-        std::string error;
-        bool executed = false;
-    };
-    std::vector<Slot> slots;
-    slots.reserve(batch_ids.size());
+    // Called with jobsLock held.  A job that waited out its queue budget
+    // expires instead of burning a worker.
+    if (job.state != JobState::Queued || job.spec.deadlineSeconds <= 0.0 ||
+        secondsSince(job.submittedAt, now) <= job.spec.deadlineSeconds)
+        return false;
+    job.state = JobState::Expired;
+    job.errorMessage = "deadline expired in queue";
+    job.doneTick = ++doneTicks;
+    doneOrder.push_back(id);
+    ++stats.jobsExpired;
+    --inFlightJobs;
+    return true;
+}
 
-    const Clock::time_point now = wallNow();
-    {
-        std::lock_guard<std::mutex> g(jobsLock);
-        for (const uint64_t id : batch_ids) {
-            auto it = jobs.find(id);
-            if (it == jobs.end())
-                continue;
-            Job &job = it->second;
-            if (job.state != JobState::Queued)
-                continue;
-            // Deadline check at dispatch: a job that waited out its
-            // queue budget expires instead of burning a worker.
-            if (job.spec.deadlineSeconds > 0.0 &&
-                secondsSince(job.submittedAt, now) >
-                    job.spec.deadlineSeconds) {
-                job.state = JobState::Expired;
-                job.errorMessage = "deadline expired in queue";
-                job.doneTick = ++doneTicks;
-                doneOrder.push_back(id);
-                ++stats.jobsExpired;
-                --inFlightJobs;
-                continue;
-            }
-            job.state = JobState::Running;
-            Slot slot;
-            slot.id = id;
-            slot.spec = job.spec;
-            slots.push_back(std::move(slot));
-        }
+std::vector<uint8_t>
+Server::Impl::runJob(uint64_t id, const JobSpec &spec) const
+{
+    harness::ExperimentConfig cell_config = spec.toConfig();
+    if (!config.checkpointDir.empty()) {
+        // Snapshot named by cell key *and* job id: two specs sharing a
+        // cell (different dt, say) must not fight over one snapshot file.
+        char id_hex[20];
+        std::snprintf(id_hex, sizeof(id_hex), "%016llx",
+                      static_cast<unsigned long long>(id));
+        cell_config.checkpointPath = config.checkpointDir + "/" +
+            harness::checkpointFileName(spec.cellKey() + ":" + id_hex);
+        cell_config.resume = true;
+        cell_config.checkpointEverySteps = config.checkpointIntervalSteps;
     }
-    if (slots.empty())
-        return;
-
-    harness::ParallelRunner runner(config.threads);
-    runner.setSignalPolicy(harness::SignalPolicy::External);
-    for (auto &slot : slots) {
-        Slot *s = &slot;
-        runner.submit(s->spec.cellKey(), [this, s]() {
-            try {
-                harness::ExperimentConfig cell_config = s->spec.toConfig();
-                if (!config.checkpointDir.empty()) {
-                    // Snapshot named by cell key *and* job id: two specs
-                    // sharing a cell (different dt, say) must not fight
-                    // over one snapshot file.
-                    char id_hex[20];
-                    std::snprintf(id_hex, sizeof(id_hex), "%016llx",
-                                  static_cast<unsigned long long>(s->id));
-                    cell_config.checkpointPath = config.checkpointDir +
-                        "/" +
-                        harness::checkpointFileName(s->spec.cellKey() +
-                                                    ":" + id_hex);
-                    cell_config.resume = true;
-                    cell_config.checkpointEverySteps =
-                        config.checkpointIntervalSteps;
-                }
-                const harness::ExperimentResult result =
-                    harness::runGridCell(s->spec.buffer, s->spec.bench,
-                                         s->spec.trace, cell_config,
-                                         s->spec.baseSeed);
-                WireWriter w;
-                encodeResult(w, result);
-                s->resultBytes = w.take();
-            } catch (const std::exception &e) {
-                s->error = e.what();
-            }
-            s->executed = true;
-        });
-    }
-    runner.run();
-
-    {
-        std::lock_guard<std::mutex> g(jobsLock);
-        for (auto &slot : slots) {
-            auto it = jobs.find(slot.id);
-            if (it == jobs.end())
-                continue;
-            Job &job = it->second;
-            if (!slot.executed) {
-                // Drain stopped the batch before this cell dispatched;
-                // it stays queued and a resubmitting client picks it up
-                // after restart.
-                job.state = JobState::Queued;
-                continue;
-            }
-            if (slot.error.empty()) {
-                job.state = JobState::Done;
-                job.resultBytes = std::move(slot.resultBytes);
-                ++stats.jobsExecuted;
-            } else {
-                job.state = JobState::Failed;
-                job.errorMessage = slot.error;
-                ++stats.jobsFailed;
-            }
-            job.doneTick = ++doneTicks;
-            doneOrder.push_back(slot.id);
-            --inFlightJobs;
-        }
-        evictOverflow();
-    }
-    wake();
+    const harness::ExperimentResult result = harness::runGridCell(
+        spec.buffer, spec.bench, spec.trace, cell_config, spec.baseSeed);
+    WireWriter w;
+    encodeResult(w, result);
+    return w.take();
 }
 
 void
-Server::Impl::executorLoop()
+Server::Impl::workerLoop()
 {
     for (;;) {
-        std::vector<uint64_t> batch;
+        uint64_t id = 0;
+        JobSpec spec;
+        bool dispatched = false;
         {
             std::unique_lock<std::mutex> lk(jobsLock);
+            // Bounded wait: a drain raised from a signal handler may
+            // miss the notify (see onDrainSignal).
             jobsCv.wait_for(lk, std::chrono::milliseconds(200), [this] {
                 return !pending.empty() ||
                     draining.load(std::memory_order_acquire);
             });
+            // Drain: stop taking jobs; queued ones stay queued and a
+            // resubmitting client picks them up after restart.
             if (draining.load(std::memory_order_acquire))
                 break;
-            batch.assign(pending.begin(), pending.end());
-            pending.clear();
+            if (pending.empty())
+                continue;
+            id = pending.front();
+            pending.pop_front();
+            auto it = jobs.find(id);
+            // Stale entries (expired on poll, or revived and re-queued
+            // while this one waited) are skipped.
+            if (it == jobs.end() || it->second.state != JobState::Queued)
+                continue;
+            Job &job = it->second;
+            if (!expireIfLate(job, id, wallNow())) {
+                job.state = JobState::Running;
+                spec = job.spec;
+                dispatched = true;
+            }
         }
-        if (batch.empty())
+        // Either transition (Running or Expired) may answer a held poll.
+        wake();
+        if (!dispatched)
             continue;
-        // A fresh batch must not inherit a stale stop flag from an
-        // earlier embedded use; skip the clear once draining so a
-        // drain that lands here still stops the batch early.
-        if (!draining.load(std::memory_order_acquire))
-            harness::ParallelRunner::clearStopRequest();
-        runBatch(std::move(batch));
+
+        std::vector<uint8_t> result_bytes;
+        bool failed = false;
+        std::string error;
+        try {
+            result_bytes = runJob(id, spec);
+        } catch (const std::exception &e) {
+            failed = true;
+            error = e.what();
+        }
+
+        {
+            std::lock_guard<std::mutex> g(jobsLock);
+            auto it = jobs.find(id);
+            if (it != jobs.end()) {
+                Job &job = it->second;
+                if (!failed) {
+                    job.state = JobState::Done;
+                    job.resultBytes = std::move(result_bytes);
+                    ++stats.jobsExecuted;
+                } else {
+                    job.state = JobState::Failed;
+                    job.errorMessage = error;
+                    ++stats.jobsFailed;
+                }
+                job.doneTick = ++doneTicks;
+                doneOrder.push_back(id);
+                --inFlightJobs;
+                evictOverflow();
+            }
+        }
+        wake();
     }
-    executorDone.store(true, std::memory_order_release);
+    liveWorkers.fetch_sub(1, std::memory_order_acq_rel);
     wake();
 }
 
@@ -450,6 +456,69 @@ Server::Impl::flushConnection(Connection *conn)
     }
     conn->outbuf.clear();
     conn->outCursor = 0;
+}
+
+void
+Server::Impl::sendSubmitted(Connection *conn, uint64_t id, JobState state)
+{
+    conn->reported = true;
+    conn->reportedId = id;
+    conn->reportedState = state;
+    sendFrame(conn, makeSubmitted(id, state));
+}
+
+void
+Server::Impl::replyPoll(Connection *conn, uint64_t id, Clock::time_point now)
+{
+    auto it = jobs.find(id);
+    if (it == jobs.end()) {
+        sendFrame(conn, makeJobError(id, JobState::Failed, "unknown job id"));
+        return;
+    }
+    Job &job = it->second;
+    expireIfLate(job, id, now);
+    switch (job.state) {
+      case JobState::Done:
+        sendFrame(conn, makeJobResult(id, job.resultBytes));
+        return;
+      case JobState::Failed:
+      case JobState::Expired:
+        sendFrame(conn, makeJobError(id, job.state, job.errorMessage));
+        return;
+      default:
+        sendSubmitted(conn, id, job.state);
+        return;
+    }
+}
+
+void
+Server::Impl::releaseHold(Connection *conn, Clock::time_point now)
+{
+    conn->holding = false;
+    // The reply is traffic: the idle clock restarts from it.
+    conn->lastActivity = now;
+    replyPoll(conn, conn->reportedId, now);
+}
+
+Clock::time_point
+Server::Impl::answerHeldPolls(Clock::time_point now, bool release_all)
+{
+    Clock::time_point nearest = Clock::time_point::max();
+    std::lock_guard<std::mutex> g(jobsLock);
+    for (auto &c : connections) {
+        Connection *conn = c.get();
+        if (!conn->holding || conn->closing)
+            continue;
+        auto it = jobs.find(conn->reportedId);
+        const bool changed =
+            it == jobs.end() || it->second.state != conn->reportedState;
+        if (release_all || changed || now >= conn->heldUntil) {
+            releaseHold(conn, now);
+        } else {
+            nearest = std::min(nearest, conn->heldUntil);
+        }
+    }
+    return nearest;
 }
 
 void
@@ -508,6 +577,12 @@ Server::Impl::handleFrame(Connection *conn, const Frame &frame)
             return;
         }
     }
+    // Replies leave in request order: a new request first answers the
+    // poll this connection holds.
+    if (conn->holding) {
+        std::lock_guard<std::mutex> g(jobsLock);
+        releaseHold(conn, wallNow());
+    }
     switch (static_cast<MsgType>(frame.type)) {
       case MsgType::Hello: {
         const uint32_t version = r.u32();
@@ -536,7 +611,6 @@ Server::Impl::handleFrame(Connection *conn, const Frame &frame)
         // Defer the actual drain until the reply is queued; serve()
         // flushes before tearing down.
         draining.store(true, std::memory_order_release);
-        harness::ParallelRunner::requestStop();
         jobsCv.notify_all();
         return;
       }
@@ -559,8 +633,8 @@ Server::Impl::handleFrame(Connection *conn, const Frame &frame)
             pending.push_back(id);
             ++inFlightJobs;
             ++stats.jobsSubmitted;
-            jobsCv.notify_all();
-            sendFrame(conn, makeSubmitted(id, JobState::Queued));
+            jobsCv.notify_one();
+            sendSubmitted(conn, id, JobState::Queued);
             return;
         }
         Job &job = it->second;
@@ -582,53 +656,44 @@ Server::Impl::handleFrame(Connection *conn, const Frame &frame)
             pending.push_back(id);
             ++inFlightJobs;
             ++stats.jobsSubmitted;
-            jobsCv.notify_all();
-            sendFrame(conn, makeSubmitted(id, JobState::Queued));
+            jobsCv.notify_one();
+            sendSubmitted(conn, id, JobState::Queued);
             return;
           case JobState::Queued:
           case JobState::Running:
           case JobState::Cached:
             // Idempotent retry: attach, don't duplicate.
-            sendFrame(conn, makeSubmitted(id, job.state));
+            sendSubmitted(conn, id, job.state);
             return;
         }
         return;
       }
       case MsgType::Poll: {
         const uint64_t id = r.u64();
+        const uint32_t wait_ms = r.u32();
         r.expectEnd();
+        const Clock::time_point now = wallNow();
         std::lock_guard<std::mutex> g(jobsLock);
         auto it = jobs.find(id);
-        if (it == jobs.end()) {
-            sendFrame(conn, makeJobError(id, JobState::Failed,
-                                         "unknown job id"));
-            return;
+        if (it != jobs.end() && wait_ms > 0) {
+            Job &job = it->second;
+            expireIfLate(job, id, now);
+            // Only Queued/Running are ever reported in Submitted, so an
+            // unchanged state is an unfinished job.
+            if (conn->reported && conn->reportedId == id &&
+                conn->reportedState == job.state) {
+                // Hold: the I/O loop answers on the next state change
+                // or when the wait runs out, capped by the idle timeout
+                // so a hold can never outlive the connection's budget.
+                conn->holding = true;
+                conn->heldUntil = now +
+                    std::chrono::milliseconds(std::min<int64_t>(
+                        wait_ms, config.idleTimeoutMs));
+                return;
+            }
         }
-        Job &job = it->second;
-        if (job.state == JobState::Queued &&
-            job.spec.deadlineSeconds > 0.0 &&
-            secondsSince(job.submittedAt, wallNow()) >
-                job.spec.deadlineSeconds) {
-            job.state = JobState::Expired;
-            job.errorMessage = "deadline expired in queue";
-            job.doneTick = ++doneTicks;
-            doneOrder.push_back(id);
-            ++stats.jobsExpired;
-            --inFlightJobs;
-        }
-        switch (job.state) {
-          case JobState::Done:
-            sendFrame(conn, makeJobResult(id, job.resultBytes));
-            return;
-          case JobState::Failed:
-          case JobState::Expired:
-            sendFrame(conn,
-                      makeJobError(id, job.state, job.errorMessage));
-            return;
-          default:
-            sendFrame(conn, makeSubmitted(id, job.state));
-            return;
-        }
+        replyPoll(conn, id, now);
+        return;
       }
       default:
         throw ProtocolError("unexpected frame type " +
@@ -652,19 +717,20 @@ Server::serve()
         s.boundEp = bound.str();
     }
 
-    if (::pipe2(s.wakePipe, O_NONBLOCK | O_CLOEXEC) != 0)
-        react_fatal("reactd: cannot create wake pipe");
-
+    const int nworkers = s.config.threads > 0
+        ? s.config.threads
+        : harness::ParallelRunner::defaultThreadCount();
     react_inform("reactd: serving on %s (%d worker threads%s%s)",
-                 bound.str().c_str(),
-                 s.config.threads > 0
-                     ? s.config.threads
-                     : harness::ParallelRunner::defaultThreadCount(),
+                 bound.str().c_str(), nworkers,
                  s.config.checkpointDir.empty() ? ""
                                                 : ", checkpointing",
                  s.config.fleetKey.empty() ? "" : ", authenticated");
 
-    std::thread executor([&s] { s.executorLoop(); });
+    s.liveWorkers.store(nworkers, std::memory_order_release);
+    std::vector<std::thread> workers;
+    workers.reserve(static_cast<size_t>(nworkers));
+    for (int i = 0; i < nworkers; ++i)
+        workers.emplace_back([&s] { s.workerLoop(); });
 
     bool listening = true;
     for (;;) {
@@ -673,6 +739,12 @@ Server::serve()
             listener.close();
             listening = false;
         }
+
+        // Answer held polls whose job moved on or whose wait ran out
+        // (their bytes raise POLLOUT below); the nearest remaining hold
+        // bounds this tick's sleep.
+        const Clock::time_point hold_deadline =
+            s.answerHeldPolls(wallNow(), false);
 
         // Build the poll set: wake pipe, listener, every connection.
         std::vector<pollfd> pfds;
@@ -698,8 +770,16 @@ Server::serve()
             pfds.push_back(cp);
         }
 
-        const int rc =
-            ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 250);
+        // Sleep until I/O, a worker's wake, or the nearest hold runs out.
+        int timeout_ms = 250;
+        if (hold_deadline != Clock::time_point::max()) {
+            const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+                hold_deadline - wallNow());
+            timeout_ms = static_cast<int>(std::clamp<int64_t>(
+                left.count(), 0, timeout_ms));
+        }
+        const int rc = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()),
+                              timeout_ms);
         if (rc < 0 && errno != EINTR)
             react_fatal("reactd: poll failed");
 
@@ -786,7 +866,9 @@ Server::serve()
             s.flushConnection(conn);
 
             // Idle timeout: a silent peer does not hold a slot forever.
-            if (!conn->closing &&
+            // A held poll is not silence; its hold is capped at the
+            // idle timeout and the answer restarts the idle clock.
+            if (!conn->closing && !conn->holding &&
                 secondsSince(conn->lastActivity, now) * 1000.0 >
                     static_cast<double>(s.config.idleTimeoutMs)) {
                 ++s.stats.idleDrops;
@@ -808,19 +890,21 @@ Server::serve()
             }
         }
 
-        if (drain_now && s.executorDone.load(std::memory_order_acquire)) {
-            // Final flush of any queued replies (DrainOk in particular).
+        if (drain_now &&
+            s.liveWorkers.load(std::memory_order_acquire) == 0) {
+            // No job changes state any more: answer every held poll,
+            // then a final flush of queued replies (DrainOk in
+            // particular).
+            s.answerHeldPolls(wallNow(), true);
             for (auto &conn : s.connections)
                 s.flushConnection(conn.get());
             break;
         }
     }
 
-    executor.join();
+    for (auto &worker : workers)
+        worker.join();
     s.connections.clear();
-    ::close(s.wakePipe[0]);
-    ::close(s.wakePipe[1]);
-    s.wakePipe[0] = s.wakePipe[1] = -1;
     if (endpoint.kind == Endpoint::Kind::Unix)
         ::unlink(endpoint.path.c_str());
     react_inform("reactd: drained cleanly (%llu jobs executed, %llu "

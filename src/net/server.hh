@@ -19,14 +19,17 @@
  *    deadline expires instead of dispatching; a connection idle past
  *    idleTimeoutMs is dropped.
  *  - **Graceful drain.**  SIGTERM/SIGINT (via installSignalHandlers)
- *    or a Drain frame stops admission and dispatch; in-flight cells
- *    finish -- writing their checkpoints when checkpointDir is set --
+ *    or a Drain frame stops admission and dispatch (queued jobs stay
+ *    queued); in-flight cells finish -- writing their checkpoints when checkpointDir is set --
  *    and serve() returns.  A restarted server resumes those cells
  *    bit-identically from their snapshots (PR-4 machinery), which the
  *    soak harness proves byte-for-byte.
  *
- * Execution fans onto harness::ParallelRunner (SignalPolicy::External)
- * in arrival-order batches; every cell is seeded from its stable
+ * Execution runs on `threads` long-lived workers: each takes the oldest
+ * queued job as soon as it is free and publishes the result the moment
+ * the cell finishes, so a short job never waits behind a long one.
+ * Polls are held on the I/O thread until the job's state changes or
+ * the client's waitMs runs out.  Every cell is seeded from its stable
  * identity, so a served result is bit-identical to a direct
  * runGridCell() of the same spec.
  */
@@ -51,7 +54,7 @@ struct ServerConfig
      *  AF_UNIX path); see net/endpoint.hh.  tcp with port 0 binds an
      *  ephemeral port, readable from Server::boundEndpoint(). */
     std::string endpoint = "/tmp/reactd.sock";
-    /** Worker threads for the cell pool; 0 = ParallelRunner default
+    /** Long-lived job workers; 0 = ParallelRunner::defaultThreadCount
      *  (REACT_THREADS / hardware concurrency). */
     int threads = 0;
     /** Per-job snapshot directory; empty disables checkpointing. */

@@ -340,6 +340,30 @@ TEST_F(FleetIntegration, DeadWorkerEndpointIsToleratedViaRedispatch)
     EXPECT_EQ(result.stats.byteMismatches, 0u);
 }
 
+TEST_F(FleetIntegration, JobLongerThanTheLeaseStillRenewsEveryHeartbeat)
+{
+    // A ~1 s cell under a 400 ms lease: the worker's poll is held at
+    // most heartbeatMs, so the running job keeps renewing the lease.
+    // A poll held until the job finished would let the lease lapse and
+    // re-dispatch the shard.
+    FleetConfig config;
+    config.workers.push_back(startWorker());
+    config.shardCount = 1;
+    config.heartbeatMs = 40;
+    config.leaseMs = 400;
+
+    JobSpec spec;
+    spec.bench = harness::BenchmarkKind::RadioTransmit;
+    spec.trace = trace::PaperTrace::SolarCommute;
+    spec.buffer = harness::BufferKind::Morphy;
+    const FleetResult result = runFleetSweep({spec}, config);
+    ASSERT_TRUE(result.complete);
+    EXPECT_EQ(result.stats.leasesGranted, 1u);
+    EXPECT_EQ(result.stats.leasesExpired, 0u);
+    EXPECT_EQ(result.stats.redispatches, 0u);
+    EXPECT_EQ(result.jobs[0].resultBytes, directBytes(spec));
+}
+
 TEST_F(FleetIntegration, AllWorkersDeadReportsIncompleteNotHang)
 {
     FleetConfig config;
