@@ -21,9 +21,7 @@
  *     budget actually buys, reporting aggregate steps/sec.
  *
  * The run also reports the transcendental-cache hit rates from
- * sim::hotloop and (when REACT_FAST_PATH engages) the fraction of steps
- * advanced by the quiescent closed-form fast path.  Everything lands in
- * BENCH_hotloop.json; tools/check_hotloop_regression.py diffs it against
+ * sim::hotloop.  Everything lands in BENCH_hotloop.json; tools/check_hotloop_regression.py diffs it against
  * the checked-in baseline and fails CI on a >10% steps/sec regression.
  *
  * Usage: hot_loop [--json <path>] [--quick]
@@ -224,8 +222,7 @@ measureLaneEngine(sim::simd::Kernel kernel)
 
 /** One Table-2 DE row: 5 traces x 5 buffers, sequential on this thread. */
 LoopResult
-measureTable2De(const harness::ExperimentConfig &config,
-                uint64_t *fast_steps)
+measureTable2De()
 {
     LoopResult out;
     const double start = nowSeconds();
@@ -233,10 +230,8 @@ measureTable2De(const harness::ExperimentConfig &config,
         for (const auto buffer_kind : harness::kAllBuffers) {
             const auto r = bench::runCell(
                 buffer_kind, harness::BenchmarkKind::DataEncryption,
-                trace_kind, config);
+                trace_kind);
             out.steps += r.steps;
-            if (fast_steps != nullptr)
-                *fast_steps += r.fastSteps;
         }
     }
     out.wallSeconds = nowSeconds() - start;
@@ -372,22 +367,8 @@ main(int argc, char **argv)
     const LaneEngineResult lane =
         quick ? LaneEngineResult{} : measureLaneEngine(lane_kernel);
 
-    // --- Table-2 DE workload row (exact mode) --------------------------
-    // Pinned to Off so the regression gate's number cannot be perturbed
-    // by a REACT_FAST_PATH value leaking in from the environment.
-    harness::ExperimentConfig config;
-    config.fastPath = harness::FastPath::Off;
-    const LoopResult table2 =
-        quick ? LoopResult{} : measureTable2De(config, nullptr);
-
-    // --- Same row with the quiescent fast path engaged -----------------
-    // The opt-in mode's headline number: run-until-drain tails and
-    // trace outages collapse to closed-form decay.
-    harness::ExperimentConfig fast_config;
-    fast_config.fastPath = harness::FastPath::On;
-    uint64_t fast_steps = 0;
-    const LoopResult table2_fast =
-        quick ? LoopResult{} : measureTable2De(fast_config, &fast_steps);
+    // --- Table-2 DE workload row ---------------------------------------
+    const LoopResult table2 = quick ? LoopResult{} : measureTable2De();
 
     JsonWriter w;
     w.beginObject();
@@ -465,23 +446,7 @@ main(int argc, char **argv)
     w.field("wall_s", table2.wallSeconds);
     w.field("steps_per_sec", table2.stepsPerSec());
     w.endObject();
-    w.key("table2_de_fastpath");
-    w.beginObject();
-    w.field("cells", quick ? 0 : 25);
-    w.field("steps", table2_fast.steps);
-    w.field("wall_s", table2_fast.wallSeconds);
-    w.field("steps_per_sec", table2_fast.stepsPerSec());
-    w.endObject();
     emitCacheStats(w);
-    w.key("fast_path");
-    w.beginObject();
-    w.field("steps", fast_steps);
-    w.field("coverage",
-            table2_fast.steps > 0
-                ? static_cast<double>(fast_steps) /
-                    static_cast<double>(table2_fast.steps)
-                : 0.0);
-    w.endObject();
     w.endObject();
     writeTextFile(json_path, w.str() + "\n");
 
@@ -529,16 +494,6 @@ main(int argc, char **argv)
                     "table2_de", table2.stepsPerSec(),
                     static_cast<unsigned long long>(table2.steps),
                     table2.wallSeconds);
-        std::printf("%-14s %12.3g steps/s  (%llu steps / %.2f s, "
-                    "25 cells)\n",
-                    "table2_de+fp", table2_fast.stepsPerSec(),
-                    static_cast<unsigned long long>(table2_fast.steps),
-                    table2_fast.wallSeconds);
-        std::printf("fast-path coverage: %.1f%%\n",
-                    table2_fast.steps > 0
-                        ? 100.0 * static_cast<double>(fast_steps) /
-                            static_cast<double>(table2_fast.steps)
-                        : 0.0);
     }
     const auto &c = sim::hotloop::counters();
     std::printf("cache hit rates: leak %.3f, transfer %.3f, "

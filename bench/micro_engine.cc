@@ -241,7 +241,6 @@ runAllocationAudit()
             for (size_t i = 0; i < samples.size(); ++i)
                 samples[i] = (i % 4) == 3 ? 0.0 : 3e-3;
             harness::ExperimentConfig config;
-            config.fastPath = harness::FastPath::Off;
             config.drainAllowance = 1.0;
             const uint64_t before = allocCount();
             buffer::StaticBuffer buf_a(

@@ -195,14 +195,5 @@ CapacitorNetwork::restore(snapshot::SnapshotReader &r)
         unit.restore(r);
 }
 
-Joules
-CapacitorNetwork::leakN(Seconds dt, uint64_t n)
-{
-    Joules lost{0.0};
-    for (auto &unit : units)
-        lost += unit.leakN(dt, n);
-    return lost;
-}
-
 } // namespace buffer
 } // namespace react

@@ -119,11 +119,6 @@ class CapacitorNetwork
     /** Apply self-discharge to every unit; returns energy leaked. */
     Joules leak(Seconds dt);
 
-    /** Closed-form n-step leak of every unit (connected or not); same
-     *  contract and rounding bound as sim::Capacitor::leakN.  Fast-path
-     *  only -- not bit-identical to n leak(dt) calls. */
-    Joules leakN(Seconds dt, uint64_t n);
-
     /**
      * Clamp the output node to the given ceiling; the excess is burned.
      * Disconnected units clamp to their own rated voltage.

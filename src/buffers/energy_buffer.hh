@@ -80,34 +80,6 @@ class EnergyBuffer
     virtual void reset() = 0;
 
     /**
-     * Opt-in quiescent fast path (REACT_FAST_PATH): advance up to
-     * max_steps timesteps of dt with zero input power and zero load
-     * current, using the closed-form RC leak solution instead of
-     * iterated stepping.
-     *
-     * Implementations may only claim steps when the whole span is
-     * provably *quiescent*: the rail is monotonically non-increasing
-     * (pure leak), no control state machine can transition, and no
-     * internal threshold (clamp, rating, comparator) can be crossed.
-     * A claimed span must match max_steps exact step() calls except
-     * for the documented pow-vs-iterated rounding bound (DESIGN.md,
-     * "Hot loop"); the Check mode divergence gate enforces this.
-     *
-     * @param dt Per-step timestep.
-     * @param max_steps Horizon the caller has verified externally
-     *        (zero trace power, no recording/checkpoint/halt boundary).
-     * @return Steps actually advanced; 0 declines the fast path and
-     *         the caller falls back to exact stepping (the default
-     *         for buffers without a quiescent analysis).
-     */
-    virtual uint64_t advanceQuiescent(Seconds dt, uint64_t max_steps)
-    {
-        (void)dt;
-        (void)max_steps;
-        return 0;
-    }
-
-    /**
      * @name Adaptive-capacitance control surface
      *
      * Static buffers keep the defaults (a single level, always satisfied).

@@ -262,43 +262,6 @@ MorphyBuffer::step(Seconds dt, Watts input_power, Amps load_current)
     }
 }
 
-uint64_t
-MorphyBuffer::advanceQuiescent(Seconds dt, uint64_t max_steps)
-{
-    // Quiescence analysis: only ladder entry 0 qualifies -- the network
-    // is empty there (c_net = 0), so the standing re-equalization, the
-    // rail clip's network share, and addRailCharge all vanish, leaving
-    // pure leak of the task capacitor and the disconnected pool units.
-    // The battery-powered controller keeps polling, but at entry 0 with
-    // the rail below vHigh every poll is a no-op (stepping down needs
-    // configIndex > 0) and leak only lowers the rail further; vHigh sits
-    // below the clamp, so the rail clip cannot fire either.  Disconnected
-    // units clamp to their rating inside clipOutput, so decline unless
-    // every unit already sits at or under it.  Decline under fault
-    // injection (aging, comparator noise).
-    if (faults != nullptr || max_steps == 0)
-        return 0;
-    if (configIndex != 0 || task.voltage() >= params.vHigh)
-        return 0;
-    for (int i = 0; i < network.unitCount(); ++i) {
-        if (network.unitVoltage(i) > params.unitCap.ratedVoltage)
-            return 0;
-    }
-    energyLedger.leaked +=
-        task.leakN(dt, max_steps) + network.leakN(dt, max_steps);
-    // Replicate the poll accumulator's per-step arithmetic exactly: the
-    // polls themselves are no-ops (see above) but the accumulator's FP
-    // trajectory must match iterated stepping bit-for-bit so a later
-    // exact step polls at the same instant.
-    const Seconds poll_period = 1.0 / params.pollRateHz;
-    for (uint64_t i = 0; i < max_steps; ++i) {
-        pollAccumulator += dt;
-        while (pollAccumulator >= poll_period)
-            pollAccumulator -= poll_period;
-    }
-    return max_steps;
-}
-
 void
 MorphyBuffer::reset()
 {

@@ -62,7 +62,6 @@ class MorphyBuffer final : public EnergyBuffer
 
     std::string name() const override { return "Morphy"; }
     void step(Seconds dt, Watts input_power, Amps load_current) override;
-    uint64_t advanceQuiescent(Seconds dt, uint64_t max_steps) override;
     Volts railVoltage() const override;
     Joules storedEnergy() const override;
     Farads equivalentCapacitance() const override;

@@ -84,24 +84,6 @@ StaticBuffer::step(Seconds dt, Watts input_power, Amps load_current)
     energyLedger.clipped += cap.clip(clamp);
 }
 
-uint64_t
-StaticBuffer::advanceQuiescent(Seconds dt, uint64_t max_steps)
-{
-    // Quiescence analysis: with zero input and zero load an exact step
-    // reduces to cap.leak(dt) (chargeFromPower and applyCurrent are
-    // no-ops, and the clip is a no-op while the voltage sits at or
-    // under the clamp -- leak only lowers it further).  No control
-    // state exists, so the whole horizon collapses to one closed-form
-    // decay.  Decline under fault injection: aging mutates capacitance
-    // mid-span.
-    if (faults != nullptr || max_steps == 0)
-        return 0;
-    if (cap.voltage() > clamp)
-        return 0;
-    energyLedger.leaked += cap.leakN(dt, max_steps);
-    return max_steps;
-}
-
 Volts
 StaticBuffer::railVoltage() const
 {

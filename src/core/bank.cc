@@ -87,23 +87,6 @@ CapacitorBank::addChargeAtTerminal(Coulombs dq)
         vUnit = Volts(0);
 }
 
-Joules
-CapacitorBank::leakN(Seconds dt, uint64_t n)
-{
-    if (!leakTauFinite || vUnit <= Volts(0) || n == 0)
-        return Joules(0);
-    if (dt == cachedLeakDt) {
-        ++sim::hotloop::counters().leakCacheHits;
-    } else {
-        cachedLeakDecay = std::exp(-dt / leakTau);
-        cachedLeakDt = dt;
-        ++sim::hotloop::counters().leakCacheMisses;
-    }
-    const Joules before = storedEnergy();
-    vUnit *= std::pow(cachedLeakDecay, static_cast<double>(n));
-    return before - storedEnergy();
-}
-
 void
 CapacitorBank::save(snapshot::SnapshotWriter &w) const
 {

@@ -121,11 +121,6 @@ class CapacitorBank
     /** Exact exponential self-discharge; returns energy leaked. */
     Joules leak(Seconds dt);
 
-    /** Closed-form n-step leak (one pow instead of n multiplies); same
-     *  contract and rounding bound as sim::Capacitor::leakN.  Fast-path
-     *  only -- not bit-identical to n leak(dt) calls. */
-    Joules leakN(Seconds dt, uint64_t n);
-
     /**
      * Clamp the per-capacitor voltage to the part rating.
      *

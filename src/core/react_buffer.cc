@@ -637,36 +637,6 @@ ReactBuffer::step(Seconds dt, Watts input_power, Amps load_current)
     }
 }
 
-uint64_t
-ReactBuffer::advanceQuiescent(Seconds dt, uint64_t max_steps)
-{
-    // Quiescence analysis: with the backend MCU off the management
-    // software does not poll and the control-circuit overhead draw is
-    // zero; with every bank disconnected (the normal powered-down state
-    // -- normally-open switches released) routeInput and
-    // replenishLastLevel are no-ops even in exact mode.  What remains
-    // per step is pure leak of the last level and of each floating
-    // bank, which collapses to one closed-form decay apiece.  Clips
-    // cannot fire because every voltage starts at or under its limit
-    // and only decays.  Decline under fault injection (aging, stuck
-    // switches keeping banks wired in) and whenever any of the above
-    // does not hold.
-    if (faults != nullptr || backendOn || max_steps == 0)
-        return 0;
-    if (lastLevel.voltage() > cfg.railClamp)
-        return 0;
-    for (const auto &bank : banks) {
-        if (bank.connected() ||
-            bank.unitVoltage() > bank.spec().unit.ratedVoltage)
-            return 0;
-    }
-    Joules leaked = lastLevel.leakN(dt, max_steps);
-    for (auto &bank : banks)
-        leaked += bank.leakN(dt, max_steps);
-    energyLedger.leaked += leaked;
-    return max_steps;
-}
-
 void
 ReactBuffer::reset()
 {

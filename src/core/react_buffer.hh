@@ -63,7 +63,6 @@ class ReactBuffer final : public buffer::EnergyBuffer
 
     std::string name() const override { return "REACT"; }
     void step(Seconds dt, Watts input_power, Amps load_current) override;
-    uint64_t advanceQuiescent(Seconds dt, uint64_t max_steps) override;
     Volts railVoltage() const override;
     Joules storedEnergy() const override;
     Farads equivalentCapacitance() const override;

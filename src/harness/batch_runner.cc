@@ -10,8 +10,6 @@
 #include <vector>
 
 #include "harness/paper_setup.hh"
-#include "snapshot/snapshot.hh"
-#include "util/crc32.hh"
 #include "util/determinism.hh"
 #include "util/logging.hh"
 
@@ -101,7 +99,8 @@ syncLaneVoltage(Lane &lane, const sim::BatchStepper &stepper, int slot)
         units::Volts(stepper.voltage(slot)));
 }
 
-/** runExperiment's finalization tail, statement for statement. */
+/** Write a finished lane's physics state back into its buffer, then
+ *  run the finalization tail runExperiment shares. */
 void
 finalizeLane(Lane &lane, sim::BatchStepper &stepper, int slot,
              const ExperimentConfig &config, double t, uint64_t steps)
@@ -109,14 +108,6 @@ finalizeLane(Lane &lane, sim::BatchStepper &stepper, int slot,
     ExperimentResult &result = *lane.result;
     result.totalTime = t;
     result.steps = steps;
-    result.powerCycles = lane.device.powerCycles();
-    if (lane.benchmark) {
-        result.workUnits = lane.benchmark->workUnits();
-        result.packetsRx = lane.benchmark->packetsReceived();
-        result.packetsTx = lane.benchmark->packetsSent();
-        result.failedOps = lane.benchmark->failedOperations();
-        result.missedEvents = lane.benchmark->missedEvents();
-    }
 
     // Write the lane physics state back: voltage, then the four ledger
     // accumulators the kernel carried (faultLoss accrued directly on
@@ -129,55 +120,9 @@ finalizeLane(Lane &lane, sim::BatchStepper &stepper, int slot,
     ledger.delivered = units::Joules(stepper.delivered(slot));
     ledger.clipped = units::Joules(stepper.clipped(slot));
 
-    result.ledger = lane.buffer->ledger();
-    result.residualEnergy = lane.buffer->storedEnergy().raw();
-
-    result.conservationError =
-        result.ledger
-            .conservationError(units::Joules(result.residualEnergy -
-                                             lane.storedStart))
-            .raw();
-    const double tolerance =
-        1e-9 * std::max(1.0, result.ledger.harvested.raw());
-    if (std::abs(result.conservationError) > tolerance) {
-        if (config.strictConservation) {
-            react_panic("energy ledger violated conservation: error %.3e J "
-                        "(harvested %.3e J, tolerance %.3e J)",
-                        result.conservationError,
-                        result.ledger.harvested.raw(), tolerance);
-        }
-        react_warn("energy ledger conservation error %.3e J exceeds "
-                   "tolerance %.3e J (%s / %s / %s)",
-                   result.conservationError, tolerance,
-                   result.bufferName.c_str(),
-                   result.benchmarkName.c_str(),
-                   result.traceName.c_str());
-    }
-
-    if (lane.injector) {
-        result.faultEvents = lane.injector->faultCount();
-        result.recoveryEvents = lane.injector->recoveryCount();
-        result.banksRetired = static_cast<int>(
-            lane.injector->eventCount(sim::FaultEventKind::BankRetired));
-        result.framRecoveries = static_cast<int>(
-            lane.injector->eventCount(sim::FaultEventKind::FramRecovery));
-        result.faultLog = lane.injector->events();
-    }
-
-    {
-        snapshot::SnapshotWriter dw;
-        dw.beginSection("digest");
-        lane.gate.save(dw);
-        lane.device.save(dw);
-        lane.buffer->save(dw);
-        if (lane.benchmark)
-            lane.benchmark->save(dw);
-        if (lane.injector)
-            lane.injector->save(dw);
-        dw.endSection();
-        const std::vector<uint8_t> image = dw.finish();
-        result.stateDigest = crc32(image.data(), image.size());
-    }
+    finalizeExperiment(result, *lane.buffer, lane.benchmark, lane.gate,
+                       lane.device, lane.injector.get(), lane.storedStart,
+                       config);
     // No finished-checkpoint write: admission requires an empty
     // checkpointPath, where runExperiment skips it too.
 
@@ -942,10 +887,6 @@ batchAdmissible(const buffer::EnergyBuffer &buffer,
                 const ExperimentConfig &config)
 {
     if (dynamic_cast<const buffer::StaticBuffer *>(&buffer) == nullptr)
-        return false;
-    // The quiescent fast path collapses spans per cell; lanes must stay
-    // in lockstep.  (Off-mode results are the byte-exact reference.)
-    if (resolveFastPath(config.fastPath) != FastPath::Off)
         return false;
     // Checkpoint/resume serializes mid-run state the lane engine holds
     // outside the buffer object, and the crash fuzzer's haltAfterSteps

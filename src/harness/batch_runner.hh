@@ -52,10 +52,10 @@
  * (tests/test_batch_stepper.cc holds the proof).
  *
  * Admissibility: the lane engine covers the classic exact-stepping
- * configuration -- a StaticBuffer, fast path off, no checkpointing, no
- * simulated crash.  Fault plans *are* admissible (each lane owns its
- * injector, and the aging phase runs scalar per lane).  Anything else
- * falls back to runExperiment, which remains the semantics reference.
+ * configuration -- a StaticBuffer, no checkpointing, no simulated
+ * crash.  Fault plans *are* admissible (each lane owns its injector,
+ * and the aging phase runs scalar per lane).  Anything else falls back
+ * to runExperiment, which remains the semantics reference.
  */
 
 #ifndef REACT_HARNESS_BATCH_RUNNER_HH
@@ -80,8 +80,8 @@ struct BatchCell
 
 /**
  * Can this buffer/config pair run on the lane engine bit-identically?
- * False for non-static buffers, an effective fast-path mode other than
- * Off, any checkpoint/resume involvement, or a simulated crash.
+ * False for non-static buffers, any checkpoint/resume involvement, or a
+ * simulated crash.
  */
 bool batchAdmissible(const buffer::EnergyBuffer &buffer,
                      const ExperimentConfig &config);

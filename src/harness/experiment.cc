@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -10,7 +9,6 @@
 #include "harness/paper_setup.hh"
 #include "snapshot/snapshot.hh"
 #include "util/crc32.hh"
-#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace react {
@@ -51,7 +49,6 @@ saveResult(snapshot::SnapshotWriter &w, const ExperimentResult &res)
     w.f64(res.onTime);
     w.f64(res.totalTime);
     w.u64(res.steps);
-    w.u64(res.fastSteps);
     w.u64(res.powerCycles);
     w.u64(res.workUnits);
     w.u64(res.packetsRx);
@@ -93,7 +90,6 @@ restoreResult(snapshot::SnapshotReader &r, ExperimentResult *res)
     res->onTime = r.f64();
     res->totalTime = r.f64();
     res->steps = r.u64();
-    res->fastSteps = r.u64();
     res->powerCycles = r.u64();
     res->workUnits = r.u64();
     res->packetsRx = r.u64();
@@ -107,9 +103,11 @@ restoreResult(snapshot::SnapshotReader &r, ExperimentResult *res)
     res->recoveryEvents = r.u64();
     res->banksRetired = static_cast<int>(r.u32());
     res->framRecoveries = static_cast<int>(r.u32());
+    // No reserve() from a stored count: under a stale layout it is a
+    // misread field, and the bounds-checked reads below are what reject
+    // it.
     res->faultLog.clear();
     const uint32_t events = r.u32();
-    res->faultLog.reserve(events);
     for (uint32_t i = 0; i < events; ++i) {
         sim::FaultEvent ev;
         ev.time = units::Seconds(r.f64());
@@ -120,7 +118,6 @@ restoreResult(snapshot::SnapshotReader &r, ExperimentResult *res)
     }
     res->rail.clear();
     const uint32_t samples = r.u32();
-    res->rail.reserve(samples);
     for (uint32_t i = 0; i < samples; ++i) {
         RailSample s;
         s.time = r.f64();
@@ -133,77 +130,79 @@ restoreResult(snapshot::SnapshotReader &r, ExperimentResult *res)
     res->stateDigest = r.u32();
 }
 
-/**
- * FastPath::Check divergence gate: run the closed-form advance, capture
- * its observables, rewind the buffer through a snapshot, replay the same
- * span with exact zero-input steps, and panic if the fast result strays
- * beyond the documented rounding bound (DESIGN.md, "Hot loop": the
- * closed-form pow and the iterated per-step multiplies each accumulate
- * at most ~(n+1) half-ulp roundings, so 100 (n+2) eps with an absolute
- * floor of one covers both with two orders of margin).  The run
- * continues from the *exact* state, so Check mode's final result equals
- * Off mode's.
- */
-uint64_t
-checkedQuiescentAdvance(buffer::EnergyBuffer &buffer, units::Seconds dt,
-                        uint64_t max_steps)
-{
-    snapshot::SnapshotWriter w;
-    w.beginSection("fastcheck");
-    buffer.save(w);
-    w.endSection();
-    std::vector<uint8_t> image = w.finish();
-
-    const uint64_t advanced = buffer.advanceQuiescent(dt, max_steps);
-    if (advanced == 0)
-        return 0;
-    const double fast_rail = buffer.railVoltage().raw();
-    const double fast_stored = buffer.storedEnergy().raw();
-    const double fast_leaked = buffer.ledger().leaked.raw();
-
-    snapshot::SnapshotReader r(std::move(image));
-    r.beginSection("fastcheck");
-    buffer.restore(r);
-    r.endSection();
-    for (uint64_t i = 0; i < advanced; ++i)
-        buffer.step(dt, units::Watts(0.0), units::Amps(0.0));
-
-    const double rel = 100.0 * (static_cast<double>(advanced) + 2.0) *
-                       2.220446049250313e-16;
-    const auto check = [&](const char *what, double fast, double exact) {
-        const double bound = rel * std::max(1.0, std::abs(exact));
-        react_assert(std::abs(fast - exact) <= bound,
-                     "quiescent fast path diverged on %s: fast %.17g "
-                     "exact %.17g (bound %.3e over %llu steps)",
-                     what, fast, exact, bound,
-                     static_cast<unsigned long long>(advanced));
-    };
-    check("railVoltage", fast_rail, buffer.railVoltage().raw());
-    check("storedEnergy", fast_stored, buffer.storedEnergy().raw());
-    check("ledger.leaked", fast_leaked, buffer.ledger().leaked.raw());
-    return advanced;
-}
-
 } // namespace
 
-FastPath
-resolveFastPath(FastPath configured)
+void
+finalizeExperiment(ExperimentResult &result,
+                   const buffer::EnergyBuffer &buffer,
+                   const workload::Benchmark *benchmark,
+                   const sim::PowerGate &gate, const mcu::Device &device,
+                   const sim::FaultInjector *injector, double stored_start,
+                   const ExperimentConfig &config)
 {
-    if (configured != FastPath::Auto)
-        return configured;
-    static const FastPath env_mode = [] {
-        const auto v = env::stringVar("REACT_FAST_PATH");
-        if (!v || *v == "0" || *v == "off")
-            return FastPath::Off;
-        if (*v == "check")
-            return FastPath::Check;
-        if (*v != "1" && *v != "on")
-            react_warn("REACT_FAST_PATH='%s' is not 0/off, 1/on, or "
-                       "check; treating as on",
-                       v->c_str());
-        return FastPath::On;
-    }();
-    return env_mode;
+    result.powerCycles = device.powerCycles();
+    if (benchmark) {
+        result.workUnits = benchmark->workUnits();
+        result.packetsRx = benchmark->packetsReceived();
+        result.packetsTx = benchmark->packetsSent();
+        result.failedOps = benchmark->failedOperations();
+        result.missedEvents = benchmark->missedEvents();
+    }
+    result.ledger = buffer.ledger();
+    result.residualEnergy = buffer.storedEnergy().raw();
+
+    // Per-run conservation audit: everything harvested must be accounted
+    // for by delivery, booked losses, or the change in stored energy.
+    // (Also valid for a halted partial run: the ledger balances at every
+    // step, not just at the end.)
+    result.conservationError =
+        result.ledger
+            .conservationError(units::Joules(result.residualEnergy -
+                                             stored_start))
+            .raw();
+    const double tolerance =
+        1e-9 * std::max(1.0, result.ledger.harvested.raw());
+    if (std::abs(result.conservationError) > tolerance) {
+        if (config.strictConservation) {
+            react_panic("energy ledger violated conservation: error %.3e J "
+                        "(harvested %.3e J, tolerance %.3e J)",
+                        result.conservationError,
+                        result.ledger.harvested.raw(), tolerance);
+        }
+        react_warn("energy ledger conservation error %.3e J exceeds "
+                   "tolerance %.3e J (%s / %s / %s)",
+                   result.conservationError, tolerance,
+                   result.bufferName.c_str(),
+                   result.benchmarkName.c_str(),
+                   result.traceName.c_str());
+    }
+
+    if (injector) {
+        result.faultEvents = injector->faultCount();
+        result.recoveryEvents = injector->recoveryCount();
+        result.banksRetired = static_cast<int>(
+            injector->eventCount(sim::FaultEventKind::BankRetired));
+        result.framRecoveries = static_cast<int>(
+            injector->eventCount(sim::FaultEventKind::FramRecovery));
+        result.faultLog = injector->events();
+    }
+
+    // Fingerprint the complete final state.  Two runs finished from
+    // different checkpoints (or none) are bit-identical iff this digest
+    // and the explicit counters match; the event queue cursors inside
+    // the benchmark make delivery ids part of the fingerprint.
+    snapshot::SnapshotWriter dw;
+    dw.beginSection("digest");
+    gate.save(dw);
+    device.save(dw);
+    buffer.save(dw);
+    if (benchmark)
+        benchmark->save(dw);
+    if (injector)
+        injector->save(dw);
+    dw.endSection();
+    const std::vector<uint8_t> image = dw.finish();
+    result.stateDigest = crc32(image.data(), image.size());
 }
 
 ExperimentResult
@@ -275,7 +274,6 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
             w.f64(next_record);
             w.f64(stored_start);
             w.u64(result.steps);
-            w.u64(result.fastSteps);
             w.f64(result.latency);
             w.f64(result.onTime);
             w.u32(static_cast<uint32_t>(result.rail.size()));
@@ -339,9 +337,14 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
                         buf_name + " / " + bench_name + " / " +
                         trace_name + ")");
                 if (finished) {
+                    // Restore into a copy: a layout mismatch must not
+                    // leave half-restored fields behind for the cold
+                    // start.
+                    ExperimentResult stored = result;
                     r.beginSection("result");
-                    restoreResult(r, &result);
+                    restoreResult(r, &stored);
                     r.endSection();
+                    result = std::move(stored);
                     result.resumed = true;
                     detach_injector();
                     return result;
@@ -352,12 +355,10 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
                 next_record = r.f64();
                 stored_start = r.f64();
                 result.steps = r.u64();
-                result.fastSteps = r.u64();
                 result.latency = r.f64();
                 result.onTime = r.f64();
                 result.rail.clear();
-                const uint32_t samples = r.u32();
-                result.rail.reserve(samples);
+                const uint32_t samples = r.u32();  // untrusted: no reserve
                 for (uint32_t i = 0; i < samples; ++i) {
                     RailSample s;
                     s.time = r.f64();
@@ -424,88 +425,7 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
     ctx.buffer = &buffer;
     ctx.workScale = work_scale;
 
-    // Quiescent fast path (opt-in; see FastPath).  Fault injection is
-    // excluded outright: the injector draws from per-step streams, so
-    // skipping steps would desynchronize its randomness.
-    const FastPath fast_mode = resolveFastPath(config.fastPath);
-    const bool fast_enabled =
-        fast_mode != FastPath::Off && injector == nullptr;
-    // Below this span length the snapshot/bookkeeping overhead beats the
-    // savings and exact stepping is at least as fast.
-    constexpr uint64_t kFastPathMinSteps = 16;
-
     while (true) {
-        // Try to collapse a provably-quiescent span before the next
-        // exact step.  Preconditions mirror the exact loop: the gate is
-        // a pure latch, so with the backend off, zero load, zero trace
-        // power, and the rail strictly under the enable threshold (and
-        // only decaying), every skipped iteration's gate.update() and
-        // benchmark hooks are no-ops.  The horizon stops strictly short
-        // of every boundary with its own side effect -- the next nonzero
-        // trace sample, the next rail-recording instant, the trace end
-        // (where the settle/drain exit checks arm), the settle and drain
-        // exits themselves, the simulated-crash step, and the next
-        // periodic checkpoint -- so each of those still happens inside
-        // an exact step.
-        if (fast_enabled && !gate.isOn() && device.current() == 0.0 &&
-            frontend.power(units::Seconds(t)).raw() == 0.0 &&
-            buffer.railVoltage().raw() < config.enableVoltage) {
-            const double zero_until =
-                frontend.zeroPowerUntil(units::Seconds(t)).raw();
-            double horizon = zero_until - t;
-            if (config.recordRail)
-                horizon = std::min(horizon, next_record - t);
-            if (t < trace_duration) {
-                horizon = std::min(horizon, trace_duration - t);
-            } else {
-                horizon =
-                    std::min(horizon, config.settleTime - off_streak);
-                horizon = std::min(
-                    horizon,
-                    trace_duration + config.drainAllowance - t);
-            }
-            double max_steps_d = std::floor(horizon / config.dt) - 1.0;
-            if (config.haltAfterSteps > 0)
-                max_steps_d = std::min(
-                    max_steps_d,
-                    static_cast<double>(config.haltAfterSteps -
-                                        result.steps) -
-                        1.0);
-            if (!config.checkpointPath.empty() &&
-                config.checkpointEverySteps > 0)
-                max_steps_d = std::min(
-                    max_steps_d,
-                    static_cast<double>(
-                        config.checkpointEverySteps -
-                        result.steps % config.checkpointEverySteps) -
-                        1.0);
-            if (max_steps_d >=
-                static_cast<double>(kFastPathMinSteps)) {
-                const uint64_t max_steps =
-                    static_cast<uint64_t>(max_steps_d);
-                const uint64_t advanced =
-                    fast_mode == FastPath::Check
-                        ? checkedQuiescentAdvance(
-                              buffer, units::Seconds(config.dt),
-                              max_steps)
-                        : buffer.advanceQuiescent(
-                              units::Seconds(config.dt), max_steps);
-                if (advanced > 0) {
-                    // Accumulate time iteratively so t and off_streak
-                    // follow the exact loop's floating-point trajectory
-                    // (recording instants and exit checks land on the
-                    // same step).
-                    for (uint64_t i = 0; i < advanced; ++i) {
-                        t += config.dt;
-                        off_streak += config.dt;
-                    }
-                    result.steps += advanced;
-                    result.fastSteps += advanced;
-                    continue;
-                }
-            }
-        }
-
         t += config.dt;
         ++result.steps;
 
@@ -581,71 +501,8 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
     }
 
     result.totalTime = t;
-    result.powerCycles = device.powerCycles();
-    if (benchmark) {
-        result.workUnits = benchmark->workUnits();
-        result.packetsRx = benchmark->packetsReceived();
-        result.packetsTx = benchmark->packetsSent();
-        result.failedOps = benchmark->failedOperations();
-        result.missedEvents = benchmark->missedEvents();
-    }
-    result.ledger = buffer.ledger();
-    result.residualEnergy = buffer.storedEnergy().raw();
-
-    // Per-run conservation audit: everything harvested must be accounted
-    // for by delivery, booked losses, or the change in stored energy.
-    // (Also valid for a halted partial run: the ledger balances at every
-    // step, not just at the end.)
-    result.conservationError =
-        result.ledger
-            .conservationError(units::Joules(result.residualEnergy -
-                                             stored_start))
-            .raw();
-    const double tolerance =
-        1e-9 * std::max(1.0, result.ledger.harvested.raw());
-    if (std::abs(result.conservationError) > tolerance) {
-        if (config.strictConservation) {
-            react_panic("energy ledger violated conservation: error %.3e J "
-                        "(harvested %.3e J, tolerance %.3e J)",
-                        result.conservationError,
-                        result.ledger.harvested.raw(), tolerance);
-        }
-        react_warn("energy ledger conservation error %.3e J exceeds "
-                   "tolerance %.3e J (%s / %s / %s)",
-                   result.conservationError, tolerance,
-                   result.bufferName.c_str(),
-                   result.benchmarkName.c_str(),
-                   result.traceName.c_str());
-    }
-
-    if (injector) {
-        result.faultEvents = injector->faultCount();
-        result.recoveryEvents = injector->recoveryCount();
-        result.banksRetired = static_cast<int>(
-            injector->eventCount(sim::FaultEventKind::BankRetired));
-        result.framRecoveries = static_cast<int>(
-            injector->eventCount(sim::FaultEventKind::FramRecovery));
-        result.faultLog = injector->events();
-    }
-
-    // Fingerprint the complete final state.  Two runs finished from
-    // different checkpoints (or none) are bit-identical iff this digest
-    // and the explicit counters match; the event queue cursors inside
-    // the benchmark make delivery ids part of the fingerprint.
-    {
-        snapshot::SnapshotWriter dw;
-        dw.beginSection("digest");
-        gate.save(dw);
-        device.save(dw);
-        buffer.save(dw);
-        if (benchmark)
-            benchmark->save(dw);
-        if (injector)
-            injector->save(dw);
-        dw.endSection();
-        const std::vector<uint8_t> image = dw.finish();
-        result.stateDigest = crc32(image.data(), image.size());
-    }
+    finalizeExperiment(result, buffer, benchmark, gate, device,
+                       injector.get(), stored_start, config);
 
     // A completed cell leaves a "finished" snapshot behind so resuming
     // it again is instant; a simulated crash leaves whatever periodic

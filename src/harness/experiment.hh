@@ -28,29 +28,6 @@
 namespace react {
 namespace harness {
 
-/**
- * Quiescent fast-path policy (see EnergyBuffer::advanceQuiescent and
- * DESIGN.md, "Hot loop").  The fast path replaces provably-inert spans
- * (zero harvest, backend off) with closed-form decay; it is *opt-in*
- * because results differ from exact stepping by the documented
- * pow-vs-iterated rounding bound, and default runs must stay
- * byte-exact against the golden suite.
- */
-enum class FastPath
-{
-    /** Consult REACT_FAST_PATH once per process: unset/"0" -> Off,
-     *  "check" -> Check, anything else -> On. */
-    Auto,
-    /** Exact stepping only (the default behaviour). */
-    Off,
-    /** Engage the closed-form fast path on quiescent spans. */
-    On,
-    /** Engage it, then re-run every span exactly and panic if the fast
-     *  result diverges beyond the documented bound (the divergence
-     *  gate; runs at exact-mode speed and continues from exact state). */
-    Check,
-};
-
 /** Runner options. */
 struct ExperimentConfig
 {
@@ -73,8 +50,6 @@ struct ExperimentConfig
     /** Stop as soon as the backend first enables (latency-only runs,
      *  Table 4: charge time is software-invariant). */
     bool stopAfterLatency = false;
-    /** Quiescent fast-path policy; Auto defers to REACT_FAST_PATH. */
-    FastPath fastPath = FastPath::Auto;
 
     /**
      * Hardware fault schedule.  The default all-zero plan leaves the run
@@ -145,9 +120,6 @@ struct ExperimentResult
     double totalTime = 0.0;
     /** Fixed-timestep engine iterations executed (totalTime / dt). */
     uint64_t steps = 0;
-    /** Of `steps`, how many were advanced by the opt-in quiescent
-     *  fast path (REACT_FAST_PATH; always 0 in default exact mode). */
-    uint64_t fastSteps = 0;
     /** Number of power cycles (off -> on transitions). */
     uint64_t powerCycles = 0;
     /** Mean uninterrupted on-period, seconds. */
@@ -215,12 +187,24 @@ struct ExperimentResult
 };
 
 /**
- * Resolve FastPath::Auto against REACT_FAST_PATH (read once per
- * process: the mode must not change between cells of one sweep).
- * Exposed so the lane-engine admission check (harness/batch_runner.hh)
- * sees the same effective mode runExperiment would use.
+ * The finalization tail every stepping engine shares, so experiment
+ * semantics have one definition: copy the device and benchmark counters
+ * and the buffer's ledger and residual energy into `result`, audit
+ * energy conservation against `stored_start` (panicking under
+ * config.strictConservation), summarize the fault injector when there
+ * is one, and fingerprint the final component state into
+ * result.stateDigest.  runExperiment calls it after its loop; the lane
+ * engine calls it once it has written a lane's state back into the
+ * buffer object.  Leaves totalTime and steps to the caller.
  */
-FastPath resolveFastPath(FastPath configured);
+void finalizeExperiment(ExperimentResult &result,
+                        const buffer::EnergyBuffer &buffer,
+                        const workload::Benchmark *benchmark,
+                        const sim::PowerGate &gate,
+                        const mcu::Device &device,
+                        const sim::FaultInjector *injector,
+                        double stored_start,
+                        const ExperimentConfig &config);
 
 /**
  * Run one experiment.  The buffer and benchmark are reset first.

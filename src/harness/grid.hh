@@ -94,8 +94,7 @@ struct GridBatchCell
  * admission order -- and every slot receives bit-identical numbers to
  * a runGridCell call.
  * Cells the lane engine cannot take (non-static buffers, checkpoint
- * env, fast path on, or a Disabled kernel) fall back to runGridCell
- * semantics inline.  @p kernel defaults to the process-wide REACT_SIMD
+ * env, or a Disabled kernel) fall back to runGridCell semantics inline.  @p kernel defaults to the process-wide REACT_SIMD
  * selection; benches that compare engines in one process (parallel_sweep's
  * lane_engine section) pass it explicitly.  @p stats, when non-null,
  * accumulates the per-phase wall-time split of the streaming run (see

@@ -76,12 +76,6 @@ HarvesterFrontend::compileStepSpans(double step_dt,
 }
 
 Seconds
-HarvesterFrontend::zeroPowerUntil(Seconds t) const
-{
-    return conv ? t : Seconds(powerTrace.zeroUntil(t.raw()));
-}
-
-Seconds
 HarvesterFrontend::traceDuration() const
 {
     return Seconds(powerTrace.duration());

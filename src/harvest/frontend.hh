@@ -59,15 +59,6 @@ class HarvesterFrontend
     void compileStepSpans(double step_dt,
                           std::vector<trace::StepSpan> &out) const;
 
-    /**
-     * Earliest time at or after `t` where power() can be nonzero (the
-     * quiescent fast-path horizon).  Identity frontends forward the
-     * trace's zero-sample scan; with a converter attached the result is
-     * conservatively `t` (a converter may bias zero input), declining
-     * the fast path.
-     */
-    Seconds zeroPowerUntil(Seconds t) const;
-
     /** Duration of the underlying trace. */
     Seconds traceDuration() const;
 

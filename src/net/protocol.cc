@@ -143,7 +143,6 @@ encodeResult(WireWriter &w, const harness::ExperimentResult &res)
     w.f64(res.onTime);
     w.f64(res.totalTime);
     w.u64(res.steps);
-    w.u64(res.fastSteps);
     w.u64(res.powerCycles);
     w.u64(res.workUnits);
     w.u64(res.packetsRx);
@@ -179,7 +178,6 @@ decodeResult(WireReader &r)
     res.onTime = r.f64();
     res.totalTime = r.f64();
     res.steps = r.u64();
-    res.fastSteps = r.u64();
     res.powerCycles = r.u64();
     res.workUnits = r.u64();
     res.packetsRx = r.u64();

@@ -54,8 +54,10 @@ namespace net {
  *  without string matching.
  *  v3: Poll carries a u32 waitMs; the server holds the poll until the
  *  job's state changes or the wait runs out, instead of answering at
- *  once (waitMs = 0 keeps the immediate answer). */
-constexpr uint32_t kProtocolVersion = 3;
+ *  once (waitMs = 0 keeps the immediate answer).
+ *  v4: the Result payload drops the u64 fast-step counter that followed
+ *  steps. */
+constexpr uint32_t kProtocolVersion = 4;
 
 /** Frame types. */
 enum class MsgType : uint8_t

@@ -831,7 +831,8 @@ Server::serve()
                             conn->decoder.feed(
                                 buf, static_cast<size_t>(n));
                             Frame frame;
-                            while (conn->decoder.next(&frame))
+                            while (!conn->closing &&
+                                   conn->decoder.next(&frame))
                                 s.handleFrame(conn, frame);
                         } catch (const ProtocolError &e) {
                             // Malformed input: answer with a diagnostic
@@ -842,6 +843,12 @@ Server::serve()
                             conn->closing = true;
                             break;
                         }
+                        // A connection dropped mid-read (outbuf
+                        // overflow) is read no further: a peer that
+                        // never stops sending would otherwise keep this
+                        // loop, and the whole I/O thread, here forever.
+                        if (conn->closing)
+                            break;
                         continue;
                     }
                     if (n == 0) {

@@ -56,23 +56,6 @@ Capacitor::setCapacitance(Farads capacitance)
     return before - energy();
 }
 
-Joules
-Capacitor::leakN(Seconds dt, uint64_t n)
-{
-    if (!leakTauFinite || v <= Volts(0) || n == 0)
-        return Joules(0);
-    if (dt == cachedLeakDt) {
-        ++hotloop::counters().leakCacheHits;
-    } else {
-        cachedLeakDecay = std::exp(-dt / leakTau);
-        cachedLeakDt = dt;
-        ++hotloop::counters().leakCacheMisses;
-    }
-    const Joules before = energy();
-    v *= std::pow(cachedLeakDecay, static_cast<double>(n));
-    return before - energy();
-}
-
 void
 Capacitor::save(snapshot::SnapshotWriter &w) const
 {

@@ -136,20 +136,6 @@ class Capacitor
     bool leakFinite() const { return leakTauFinite; }
 
     /**
-     * Closed-form n-step leak: equivalent to calling leak(dt) n times,
-     * except the decay is applied as one pow(decay, n) instead of n
-     * sequential multiplies.  Relative voltage error versus the
-     * iterated form is bounded by ~(n + 1) ulp (DESIGN.md, "Hot
-     * loop"), so results are *not* bit-identical to stepping; only the
-     * opt-in quiescent fast path (REACT_FAST_PATH) uses this.
-     *
-     * @param dt Per-step timestep.
-     * @param n Number of steps to advance.
-     * @return Total energy lost to leakage over the n steps.
-     */
-    Joules leakN(Seconds dt, uint64_t n);
-
-    /**
      * Clamp voltage to the given ceiling (defaults to the rated voltage).
      *
      * @param ceiling Maximum voltage; values above are discarded as heat.

@@ -139,7 +139,7 @@ Kernel
 selectedKernel()
 {
     // Read once per process: the engine must not change between cells
-    // of one sweep (mirrors resolveFastPath in harness/experiment.cc).
+    // of one sweep.
     static const Kernel kernel =
         resolveKernel(envPolicy(), avx2Available(), avx512Available());
     return kernel;

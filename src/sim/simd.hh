@@ -110,8 +110,7 @@ Kernel resolveKernel(Policy policy, bool avx2_available,
 /**
  * The process-wide kernel selection: resolveKernel(envPolicy(),
  * avx2Available(), avx512Available()), read once and cached -- the
- * engine must not change between cells of one sweep (mirrors
- * resolveFastPath).
+ * engine must not change between cells of one sweep.
  */
 Kernel selectedKernel();
 

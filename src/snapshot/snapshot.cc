@@ -373,6 +373,8 @@ std::string
 SnapshotReader::str()
 {
     const uint32_t n = u32();
+    if (cursor + n > payloadEnd)
+        throw SnapshotError("snapshot string overruns its section");
     std::string v(n, '\0');
     if (n > 0)
         take(v.data(), n);

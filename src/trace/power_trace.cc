@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
 #include "util/csv.hh"
@@ -163,21 +162,6 @@ PowerTrace::compileStepSpans(double step_dt,
     }
     // Past the trace end power() is 0.0 forever (t only grows).
     out.push_back({0.0, StepSpan::kOpenEnded});
-}
-
-double
-PowerTrace::zeroUntil(double t) const
-{
-    if (samples.empty())
-        return std::numeric_limits<double>::infinity();
-    if (t < 0.0)
-        t = 0.0;
-    size_t idx = static_cast<size_t>(t / dt);
-    while (idx < samples.size() && samples[idx] == 0.0)
-        ++idx;
-    if (idx >= samples.size())
-        return std::numeric_limits<double>::infinity();
-    return static_cast<double>(idx) * dt;
 }
 
 double

@@ -105,16 +105,6 @@ class PowerTrace
     double power(double t) const;
 
     /**
-     * Start time (seconds) of the first sample at or after `t` with
-     * nonzero power, i.e. how long power() stays exactly 0 from `t`
-     * onward.  Returns +infinity when the remainder of the trace (and
-     * hence everything past its end) is zero; may return a value <= t
-     * when the sample containing `t` itself is nonzero.  Used by the
-     * harness to size quiescent fast-path horizons.
-     */
-    double zeroUntil(double t) const;
-
-    /**
      * Compile the fixed-dt replay `t = 0; repeat { t += step_dt;
      * power(t); }` into run-length spans, appended to @p out.  The
      * boundaries come from replaying that exact accumulated-t sequence

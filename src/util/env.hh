@@ -3,7 +3,7 @@
  * Unified environment-variable parsing.
  *
  * The repository grew several ad-hoc std::getenv + strtol sites
- * (REACT_THREADS, REACT_CHECKPOINT_INTERVAL, REACT_FAST_PATH, ...), each
+ * (REACT_THREADS, REACT_CHECKPOINT_INTERVAL, REACT_SIMD, ...), each
  * with its own idea of what a malformed value does -- some warned, some
  * silently fell back.  Every environment knob now routes through this
  * helper, which gives them one contract:

@@ -76,7 +76,6 @@ expectBitIdentical(const ExperimentResult &got, const ExperimentResult &want,
     SCOPED_TRACE(what);
     EXPECT_EQ(got.stateDigest, want.stateDigest);
     EXPECT_EQ(got.steps, want.steps);
-    EXPECT_EQ(got.fastSteps, want.fastSteps);
     EXPECT_EQ(got.powerCycles, want.powerCycles);
     EXPECT_EQ(got.workUnits, want.workUnits);
     EXPECT_EQ(got.packetsRx, want.packetsRx);
@@ -140,7 +139,6 @@ diffConfig()
     cfg.brownoutVoltage = 1.8;
     cfg.drainAllowance = 30.0;
     cfg.settleTime = 2.0;
-    cfg.fastPath = FastPath::Off;
     cfg.strictConservation = true;
     return cfg;
 }
@@ -565,10 +563,6 @@ TEST(BatchStepper, AdmissibilityGate)
     ExperimentConfig faulted = cfg;
     faulted.faultPlan = sim::FaultPlan::stress(1.0);
     EXPECT_TRUE(batchAdmissible(statik, faulted));
-
-    ExperimentConfig fast = cfg;
-    fast.fastPath = FastPath::On;
-    EXPECT_FALSE(batchAdmissible(statik, fast));
 
     ExperimentConfig checkpointed = cfg;
     checkpointed.checkpointPath = "/tmp/ckpt";

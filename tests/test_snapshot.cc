@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -191,7 +194,14 @@ class SnapshotFileTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        dir = fs::temp_directory_path() / "react_snapshot_test";
+        // One directory per test and per process: under ctest -j every
+        // test runs in its own process, and a shared directory would let
+        // one test's TearDown delete another's files mid-run.
+        const auto *info =
+            ::testing::UnitTest::GetInstance()->current_test_info();
+        dir = fs::temp_directory_path() /
+              ("react_snapshot_test." + std::to_string(::getpid()) + "." +
+               info->name());
         fs::create_directories(dir);
         path = (dir / "state.snap").string();
     }
@@ -396,6 +406,116 @@ TEST_F(SnapshotFileTest, MismatchedCheckpointColdStartsWithDiagnostic)
     EXPECT_NE(result.snapshotDiagnostic.find("rejected"),
               std::string::npos);
     EXPECT_GT(result.steps, 0u);
+}
+
+/**
+ * Re-frame a snapshot image with a zero u64 spliced into section @p name
+ * at payload byte @p at (clamped to the payload end): the shape of a
+ * layout that carried one more u64 field there.  Walks the documented
+ * wire format and re-emits every section through SnapshotWriter so each
+ * CRC is valid -- only the layout is stale.
+ */
+std::vector<uint8_t>
+withExtraU64(const std::vector<uint8_t> &image, const std::string &name,
+             size_t at)
+{
+    const auto le = [&image](size_t pos, int bytes) {
+        uint64_t v = 0;
+        for (int i = 0; i < bytes; ++i)
+            v |= static_cast<uint64_t>(image[pos + i]) << (8 * i);
+        return v;
+    };
+    SnapshotWriter w;
+    const uint64_t count = le(8, 4);
+    size_t pos = 12;  // magic, version, section count
+    for (uint64_t s = 0; s < count; ++s) {
+        const size_t name_len = image[pos];
+        const std::string section(image.begin() + pos + 1,
+                                  image.begin() + pos + 1 + name_len);
+        const size_t payload_len = le(pos + 1 + name_len, 8);
+        const size_t payload = pos + 1 + name_len + 8;
+        w.beginSection(section);
+        for (size_t i = 0; i <= payload_len; ++i) {
+            if (section == name && i == std::min(at, payload_len))
+                w.u64(0);
+            if (i < payload_len)
+                w.u8(image[payload + i]);
+        }
+        w.endSection();
+        pos = payload + payload_len + 4;  // payload, CRC
+    }
+    return w.finish();
+}
+
+TEST_F(SnapshotFileTest, PreviousLayoutCheckpointColdStartsWithDiagnostic)
+{
+    // Checkpoints from before the experiment and result sections lost
+    // their u64 fast-step counter (it followed `steps`) carry one more
+    // field.  The format version did not change, so runExperiment must
+    // catch the stale layout itself: a "rejected" diagnostic, then a
+    // cold start that finishes bit-identical to an uninterrupted run --
+    // whether the extra field trails the section or shifts every field
+    // after `steps` (which must not turn a misread count into a huge
+    // allocation).
+    CellFixture cell;
+    const auto cold = cell.run(cell.config);
+    ASSERT_GT(cold.steps, 5000u);
+
+    auto crash_cfg = cell.config;
+    crash_cfg.checkpointPath = path;
+    crash_cfg.checkpointEverySteps = 1000;
+    crash_cfg.haltAfterSteps = cold.steps / 2;
+    ASSERT_TRUE(cell.run(crash_cfg).halted);
+    const SnapshotLoad mid = loadSnapshotFile(path);
+    ASSERT_TRUE(mid.ok);
+
+    auto finish_cfg = cell.config;
+    finish_cfg.checkpointPath = (dir / "finished.snap").string();
+    ASSERT_FALSE(cell.run(finish_cfg).halted);
+    const SnapshotLoad finished =
+        loadSnapshotFile(finish_cfg.checkpointPath);
+    ASSERT_TRUE(finished.ok);
+
+    // `steps` ends the fifth 8-byte field of the experiment section (t,
+    // off_streak, next_record, stored_start, steps); the result section
+    // opens with three strings (u32 length + bytes) and three f64s.
+    const size_t experiment_after_steps = 5 * 8;
+    const size_t result_after_steps =
+        3 * 4 + cold.bufferName.size() + cold.benchmarkName.size() +
+        cold.traceName.size() + 4 * 8;
+    struct Case
+    {
+        const char *what;
+        const std::vector<uint8_t> *image;
+        const char *section;
+        size_t at;
+    };
+    const Case cases[] = {
+        {"experiment, trailing", &mid.image, "experiment", SIZE_MAX},
+        {"experiment, after steps", &mid.image, "experiment",
+         experiment_after_steps},
+        {"result, after steps", &finished.image, "result",
+         result_after_steps},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        ASSERT_TRUE(saveSnapshotFile(
+            path, withExtraU64(*c.image, c.section, c.at)));
+        auto resume_cfg = cell.config;
+        resume_cfg.checkpointPath = path;
+        resume_cfg.resume = true;
+        const auto resumed = cell.run(resume_cfg);
+        EXPECT_FALSE(resumed.resumed);
+        EXPECT_FALSE(resumed.halted);
+        EXPECT_NE(resumed.snapshotDiagnostic.find("rejected"),
+                  std::string::npos)
+            << resumed.snapshotDiagnostic;
+        EXPECT_EQ(resumed.stateDigest, cold.stateDigest);
+        EXPECT_EQ(resumed.steps, cold.steps);
+        EXPECT_EQ(resumed.workUnits, cold.workUnits);
+        EXPECT_EQ(resumed.faultEvents, cold.faultEvents);
+        EXPECT_EQ(resumed.recoveryEvents, cold.recoveryEvents);
+    }
 }
 
 TEST(CheckpointEnv, FileNameSanitizesCellKeys)

@@ -29,12 +29,11 @@ def metrics(doc):
         out["micro." + row["name"]] = row["steps_per_sec"]
     for row in doc.get("batch", {}).get("kernels", []):
         out["batch." + row["name"]] = row["lane_steps_per_sec"]
-    for key in ("table2_de", "table2_de_fastpath"):
-        section = doc.get(key)
-        # A --quick run leaves the table sections empty (0 cells); skip
-        # them rather than dividing by zero.
-        if section and section.get("cells", 0) > 0:
-            out[key] = section["steps_per_sec"]
+    section = doc.get("table2_de")
+    # A --quick run leaves the table section empty (0 cells); skip it
+    # rather than dividing by zero.
+    if section and section.get("cells", 0) > 0:
+        out["table2_de"] = section["steps_per_sec"]
     return out
 
 
