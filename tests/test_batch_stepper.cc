@@ -432,13 +432,49 @@ shrinkCell(CellSpec spec, sim::simd::Kernel kernel)
 // Fixed-configuration differentials.
 // ---------------------------------------------------------------------------
 
-TEST(BatchStepper, SoloCellMatchesClassicOnEveryKernel)
+/** Run-protocol exit paths the solo-cell differential covers. */
+enum class ExitPath
+{
+    /** Trace end, then the settle off-streak or the drain allowance. */
+    Drain,
+    /** stopAfterLatency: leave on the first enable (Table 4 runs). */
+    StopAfterLatency,
+    /** settleTime = 0 (settleSteps == 0): leave on the trace-end step. */
+    ZeroSettle,
+};
+
+/**
+ * The solo-cell differential, parameterized over exit paths (the
+ * protocol's exit test has one definition, but each engine reaches it
+ * through its own settle counting and dispatch, so every path is
+ * witnessed on both).  Named after the suite it extends.
+ */
+class BatchStepper : public testing::TestWithParam<ExitPath>
+{
+  protected:
+    BatchStepper() : cfg(diffConfig())
+    {
+        switch (GetParam()) {
+        case ExitPath::Drain:
+            break;
+        case ExitPath::StopAfterLatency:
+            cfg.stopAfterLatency = true;
+            break;
+        case ExitPath::ZeroSettle:
+            cfg.settleTime = 0.0;
+            break;
+        }
+    }
+
+    ExperimentConfig cfg;
+};
+
+TEST_P(BatchStepper, SoloCellMatchesClassicOnEveryKernel)
 {
     // The base property: one paper-style cell (10 mF static, DE
     // workload, RF-cart trace) run as a batch of one is byte-identical
     // to runExperiment, on every kernel this host has.
     const auto trace = trace::makePaperTrace(trace::PaperTrace::RfCart, 1);
-    const auto cfg = diffConfig();
     auto run_classic = [&]() {
         buffer::StaticBuffer buf(
             staticBufferSpec(units::Farads(10e-3)), units::Volts(3.6));
@@ -448,7 +484,16 @@ TEST(BatchStepper, SoloCellMatchesClassicOnEveryKernel)
         return runExperiment(buf, de.get(), frontend, cfg);
     };
     const auto classic = run_classic();
-    EXPECT_GT(classic.powerCycles, 0u);  // non-vacuous: the cell runs
+    // Non-vacuous: the cell starts, and each exit path ends it where
+    // that path says.
+    ASSERT_GE(classic.latency, 0.0);
+    if (cfg.stopAfterLatency) {
+        EXPECT_EQ(classic.powerCycles, 1u);
+        EXPECT_LT(classic.totalTime, trace.duration());
+    } else {
+        EXPECT_GT(classic.powerCycles, 0u);
+        EXPECT_GE(classic.totalTime, trace.duration());
+    }
     for (const auto kernel : availableKernels()) {
         buffer::StaticBuffer buf(
             staticBufferSpec(units::Farads(10e-3)), units::Volts(3.6));
@@ -464,6 +509,22 @@ TEST(BatchStepper, SoloCellMatchesClassicOnEveryKernel)
                                sim::simd::kernelName(kernel));
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    ExitPaths, BatchStepper,
+    testing::Values(ExitPath::Drain, ExitPath::StopAfterLatency,
+                    ExitPath::ZeroSettle),
+    [](const testing::TestParamInfo<ExitPath> &info) {
+        switch (info.param) {
+        case ExitPath::Drain:
+            return std::string("Drain");
+        case ExitPath::StopAfterLatency:
+            return std::string("StopAfterLatency");
+        case ExitPath::ZeroSettle:
+            return std::string("ZeroSettle");
+        }
+        return std::string("Unknown");
+    });
 
 TEST(BatchStepper, Fig1StyleFourLaneBatchMatchesClassic)
 {

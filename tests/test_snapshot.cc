@@ -456,65 +456,82 @@ TEST_F(SnapshotFileTest, PreviousLayoutCheckpointColdStartsWithDiagnostic)
     // cold start that finishes bit-identical to an uninterrupted run --
     // whether the extra field trails the section or shifts every field
     // after `steps` (which must not turn a misread count into a huge
-    // allocation).
-    CellFixture cell;
-    const auto cold = cell.run(cell.config);
-    ASSERT_GT(cold.steps, 5000u);
-
-    auto crash_cfg = cell.config;
-    crash_cfg.checkpointPath = path;
-    crash_cfg.checkpointEverySteps = 1000;
-    crash_cfg.haltAfterSteps = cold.steps / 2;
-    ASSERT_TRUE(cell.run(crash_cfg).halted);
-    const SnapshotLoad mid = loadSnapshotFile(path);
-    ASSERT_TRUE(mid.ok);
-
-    auto finish_cfg = cell.config;
-    finish_cfg.checkpointPath = (dir / "finished.snap").string();
-    ASSERT_FALSE(cell.run(finish_cfg).halted);
-    const SnapshotLoad finished =
-        loadSnapshotFile(finish_cfg.checkpointPath);
-    ASSERT_TRUE(finished.ok);
-
-    // `steps` ends the fifth 8-byte field of the experiment section (t,
-    // off_streak, next_record, stored_start, steps); the result section
-    // opens with three strings (u32 length + bytes) and three f64s.
-    const size_t experiment_after_steps = 5 * 8;
-    const size_t result_after_steps =
-        3 * 4 + cold.bufferName.size() + cold.benchmarkName.size() +
-        cold.traceName.size() + 4 * 8;
-    struct Case
+    // allocation).  With a fault plan the cold start must also rebuild
+    // the injector, so the faulted run replays its fault stream from
+    // the seed.
+    const struct
     {
         const char *what;
-        const std::vector<uint8_t> *image;
-        const char *section;
-        size_t at;
+        sim::FaultPlan plan;
+    } plans[] = {
+        {"fault-free", sim::FaultPlan::none()},
+        {"stress faults", sim::FaultPlan::stress(1.0)},
     };
-    const Case cases[] = {
-        {"experiment, trailing", &mid.image, "experiment", SIZE_MAX},
-        {"experiment, after steps", &mid.image, "experiment",
-         experiment_after_steps},
-        {"result, after steps", &finished.image, "result",
-         result_after_steps},
-    };
-    for (const Case &c : cases) {
-        SCOPED_TRACE(c.what);
-        ASSERT_TRUE(saveSnapshotFile(
-            path, withExtraU64(*c.image, c.section, c.at)));
-        auto resume_cfg = cell.config;
-        resume_cfg.checkpointPath = path;
-        resume_cfg.resume = true;
-        const auto resumed = cell.run(resume_cfg);
-        EXPECT_FALSE(resumed.resumed);
-        EXPECT_FALSE(resumed.halted);
-        EXPECT_NE(resumed.snapshotDiagnostic.find("rejected"),
-                  std::string::npos)
-            << resumed.snapshotDiagnostic;
-        EXPECT_EQ(resumed.stateDigest, cold.stateDigest);
-        EXPECT_EQ(resumed.steps, cold.steps);
-        EXPECT_EQ(resumed.workUnits, cold.workUnits);
-        EXPECT_EQ(resumed.faultEvents, cold.faultEvents);
-        EXPECT_EQ(resumed.recoveryEvents, cold.recoveryEvents);
+    for (const auto &p : plans) {
+        SCOPED_TRACE(p.what);
+        CellFixture cell;
+        cell.config.faultPlan = p.plan;
+        const auto cold = cell.run(cell.config);
+        ASSERT_GT(cold.steps, 5000u);
+        if (p.plan.enabled())
+            ASSERT_GT(cold.faultEvents, 0u);
+
+        auto crash_cfg = cell.config;
+        crash_cfg.checkpointPath = path;
+        crash_cfg.checkpointEverySteps = 1000;
+        crash_cfg.haltAfterSteps = cold.steps / 2;
+        ASSERT_TRUE(cell.run(crash_cfg).halted);
+        const SnapshotLoad mid = loadSnapshotFile(path);
+        ASSERT_TRUE(mid.ok);
+
+        auto finish_cfg = cell.config;
+        finish_cfg.checkpointPath = (dir / "finished.snap").string();
+        ASSERT_FALSE(cell.run(finish_cfg).halted);
+        const SnapshotLoad finished =
+            loadSnapshotFile(finish_cfg.checkpointPath);
+        ASSERT_TRUE(finished.ok);
+
+        // `steps` ends the fifth 8-byte field of the experiment section
+        // (t, off_streak, next_record, stored_start, steps); the result
+        // section opens with three strings (u32 length + bytes) and
+        // three f64s.
+        const size_t experiment_after_steps = 5 * 8;
+        const size_t result_after_steps =
+            3 * 4 + cold.bufferName.size() + cold.benchmarkName.size() +
+            cold.traceName.size() + 4 * 8;
+        struct Case
+        {
+            const char *what;
+            const std::vector<uint8_t> *image;
+            const char *section;
+            size_t at;
+        };
+        const Case cases[] = {
+            {"experiment, trailing", &mid.image, "experiment", SIZE_MAX},
+            {"experiment, after steps", &mid.image, "experiment",
+             experiment_after_steps},
+            {"result, after steps", &finished.image, "result",
+             result_after_steps},
+        };
+        for (const Case &c : cases) {
+            SCOPED_TRACE(c.what);
+            ASSERT_TRUE(saveSnapshotFile(
+                path, withExtraU64(*c.image, c.section, c.at)));
+            auto resume_cfg = cell.config;
+            resume_cfg.checkpointPath = path;
+            resume_cfg.resume = true;
+            const auto resumed = cell.run(resume_cfg);
+            EXPECT_FALSE(resumed.resumed);
+            EXPECT_FALSE(resumed.halted);
+            EXPECT_NE(resumed.snapshotDiagnostic.find("rejected"),
+                      std::string::npos)
+                << resumed.snapshotDiagnostic;
+            EXPECT_EQ(resumed.stateDigest, cold.stateDigest);
+            EXPECT_EQ(resumed.steps, cold.steps);
+            EXPECT_EQ(resumed.workUnits, cold.workUnits);
+            EXPECT_EQ(resumed.faultEvents, cold.faultEvents);
+            EXPECT_EQ(resumed.recoveryEvents, cold.recoveryEvents);
+        }
     }
 }
 
