@@ -56,36 +56,28 @@ wallNowNs()
         std::chrono::duration_cast<std::chrono::nanoseconds>(t).count());
 }
 
-/** Per-lane control-plane state runExperiment keeps in locals, one
- *  copy per cell -- the *cold* part: objects and event state the hot
- *  loop only touches when something happens (a tick, a gate flip, a
- *  span roll).  Per-step scalars live in Engine::Hot instead. */
+/** Per-lane control-plane state, one copy per cell -- the *cold*
+ *  part: the cell's ExperimentRun plus the event state the hot loop
+ *  only touches when something happens (a tick, a gate flip, a span
+ *  roll).  Per-step scalars live in Engine::Hot instead. */
 struct Lane
 {
     Lane(const BatchCell &cell, const ExperimentConfig &config)
-        : buffer(cell.buffer), benchmark(cell.benchmark),
-          frontend(cell.frontend), result(cell.result),
-          device(backendSpec()),
-          gate(units::Volts(config.enableVoltage),
-               units::Volts(config.brownoutVoltage))
+        : buffer(cell.buffer),
+          run(*cell.buffer, cell.benchmark, *cell.frontend, config,
+              *cell.result)
     {
     }
 
+    /** The cell's buffer, typed for the lane-state accessors. */
     buffer::StaticBuffer *buffer;
-    workload::Benchmark *benchmark;
-    const harvest::HarvesterFrontend *frontend;
-    ExperimentResult *result;
-    mcu::Device device;
-    sim::PowerGate gate;
-    std::unique_ptr<sim::FaultInjector> injector;
-    workload::BenchContext ctx;
+    ExperimentRun run;
     /** Precompiled per-step at-buffer power (admission-time; the hot
      *  loop sweeps it linearly, no per-step trace/converter work). */
     std::vector<trace::StepSpan> spans;
     size_t spanIdx = 0;
     /** The current span's power, the injector filter's input. */
     double spanPower = 0.0;
-    double storedStart = 0.0;
     double nextRecord = 0.0;
 };
 
@@ -97,39 +89,6 @@ syncLaneVoltage(Lane &lane, const sim::BatchStepper &stepper, int slot)
 {
     lane.buffer->laneCapacitor().setVoltage(
         units::Volts(stepper.voltage(slot)));
-}
-
-/** Write a finished lane's physics state back into its buffer, then
- *  run the finalization tail runExperiment shares. */
-void
-finalizeLane(Lane &lane, sim::BatchStepper &stepper, int slot,
-             const ExperimentConfig &config, double t, uint64_t steps)
-{
-    ExperimentResult &result = *lane.result;
-    result.totalTime = t;
-    result.steps = steps;
-
-    // Write the lane physics state back: voltage, then the four ledger
-    // accumulators the kernel carried (faultLoss accrued directly on
-    // the buffer's ledger via laneStepAging; the rest were never
-    // touched, exactly as in per-cell stepping).
-    syncLaneVoltage(lane, stepper, slot);
-    sim::EnergyLedger &ledger = lane.buffer->laneLedger();
-    ledger.leaked = units::Joules(stepper.leaked(slot));
-    ledger.harvested = units::Joules(stepper.harvested(slot));
-    ledger.delivered = units::Joules(stepper.delivered(slot));
-    ledger.clipped = units::Joules(stepper.clipped(slot));
-
-    finalizeExperiment(result, *lane.buffer, lane.benchmark, lane.gate,
-                       lane.device, lane.injector.get(), lane.storedStart,
-                       config);
-    // No finished-checkpoint write: admission requires an empty
-    // checkpointPath, where runExperiment skips it too.
-
-    if (lane.injector) {
-        lane.buffer->attachFaultInjector(nullptr);
-        lane.gate.attachFaultInjector(nullptr);
-    }
 }
 
 /**
@@ -145,7 +104,7 @@ finalizeLane(Lane &lane, sim::BatchStepper &stepper, int slot,
  *
  *  - gate threshold crossings come out of the lane bank's vector
  *    compare (transitionMask) whether the lane is serviced or not;
- *  - the span roll, the settle-exit step, and the endT/hardEndT
+ *  - the span roll, the settle-exit step, and the trace-end/hard-end
  *    crossings are precomputed as one integer step target
  *    (hot.wakeStep) plus one float time arm (hot.armT) per lane;
  *  - the off-streak itself needs no accumulator: dt is shared, so
@@ -186,7 +145,7 @@ class Engine
         // so the compare first holds on a fixed step count -- replay
         // the accumulation once to find it.  A plateau below the
         // threshold means the scalar loop can never satisfy the
-        // compare (the lane then exits via hardEndT, same as classic).
+        // compare (the lane then exits at the hard end, same as classic).
         double acc = 0.0;
         while (acc < config.settleTime) {
             const double next = acc + config.dt;
@@ -213,18 +172,14 @@ class Engine
     {
         /** Simulation time of the lane's current step. */
         alignas(64) double t[kLanes] = {};
-        /** Float exit arm: endT until crossed, then hardEndT -- the
-         *  time at which the corresponding classic exit-disjunct can
-         *  first hold.  svcPre folds the remaining distance into
+        /** Float exit arm: the run's traceEnd until crossed, then its
+         *  hardEnd -- the time at which the corresponding exit-disjunct
+         *  can first hold.  svcPre folds the remaining distance into
          *  wakeStep as a conservative integer bound. */
         alignas(64) double armT[kLanes] = {};
         /** Gate-on time accumulator (copied to result->onTime at
          *  retirement; same add sequence, different home). */
         alignas(64) double onTime[kLanes] = {};
-        /** Trace end: the exit checks arm past this time. */
-        alignas(64) double endT[kLanes] = {};
-        /** Trace end plus drain allowance: the hard exit. */
-        alignas(64) double hardEndT[kLanes] = {};
         /** Lane step counter (mirrors runExperiment's). */
         alignas(64) uint64_t steps[kLanes] = {};
         /** Integer wake target: the scan fires when steps reaches it
@@ -243,24 +198,37 @@ class Engine
     void admit(int slot);
     void retire(Lane &lane, int slot);
     void refill();
-    /** Post-physics workload work for one awake lane: on-time
-     *  accounting and the benchmark tick, in runExperiment's exact
-     *  order.  (Off lanes accumulate nothing -- their off-streak is
-     *  implicit in steps - lastOnStep.) */
+    /** One powered step of lane @p s: on-time accounting, then
+     *  ExperimentRun::tick (on the synced lane rail when the tick
+     *  observes the buffer). */
+    void tickLane(int s);
+    /** Post-physics workload work for one awake lane: tickLane when
+     *  its gate is on.  (Off lanes accumulate nothing -- their
+     *  off-streak is implicit in steps - lastOnStep.) */
     void svcWorkload(int s);
-    /** Rail recording plus runExperiment's exit checks (recording
-     *  precedes the exits, so a finishing step's sample is captured).
-     *  Returns true when the lane's experiment is over. */
+    /** Rail recording, then ExperimentRun::finished with the lane's
+     *  integer settle count (recording precedes the exit, so a
+     *  finishing step's sample is captured).  Returns true when the
+     *  lane's experiment is over. */
     bool svcBookkeeping(int s);
-    /** runExperiment's loop head for one lane, for the step at
-     *  hot.t[s]: latch the gate (one precomputed compare pair per
-     *  mirrored lane via @p flips), roll the power span when due,
-     *  advance the injector, run dielectric aging -- then re-arm the
-     *  lane's wake targets.  Load re-queries are deferred to
-     *  flushLoads (lanes are independent, so querying a lane's
-     *  settled device after its batch mates' control work reads the
-     *  same value). */
+    /** Advance lane @p s to its next precompiled power span. */
+    void rollSpan(int s);
+    /** The control head of one lane, for the step at hot.t[s]: latch
+     *  the gate (one precomputed compare pair per mirrored lane via
+     *  @p flips) and hand a transition to ExperimentRun::gateEdge, roll
+     *  the power span when due, advance the injector, run dielectric
+     *  aging -- then re-arm the lane's wake targets.  Load re-queries
+     *  are deferred to flushLoads (lanes are independent, so querying
+     *  a lane's settled device after its batch mates' control work
+     *  reads the same value). */
     void svcPre(int s, uint8_t flips);
+    /** One physics step of every occupied lane, at the narrowest
+     *  width that covers them: with at most two cells live, per-lane
+     *  scalar steps of just those lanes (bit-identical -- a frozen
+     *  lane's step is a bitwise no-op -- and cheaper than running the
+     *  divider over six no-op lanes); else the lower half when only
+     *  it is occupied; else the full width. */
+    void stepPhysics();
     /** Re-query the backend load of every lane marked dirty (gate
      *  transitions and benchmark ticks -- the only places device state
      *  or peripheral loads can change). */
@@ -310,29 +278,7 @@ Engine::admit(int slot)
     slots[static_cast<size_t>(slot)].emplace(cell, config);
     Lane &lane = *slots[static_cast<size_t>(slot)];
     const uint8_t bit = static_cast<uint8_t>(1u << slot);
-
-    // runExperiment's preamble.
-    lane.buffer->reset();
-    if (lane.benchmark)
-        lane.benchmark->reset();
-    if (config.faultPlan.enabled()) {
-        lane.injector = std::make_unique<sim::FaultInjector>(
-            config.faultPlan, config.faultSeed);
-        lane.buffer->attachFaultInjector(lane.injector.get());
-        lane.gate.attachFaultInjector(lane.injector.get());
-    }
-    lane.storedStart = lane.buffer->storedEnergy().raw();
-
-    *lane.result = ExperimentResult();
-    lane.result->bufferName = lane.buffer->name();
-    lane.result->benchmarkName =
-        lane.benchmark ? lane.benchmark->name() : "(none)";
-    lane.result->traceName = lane.frontend->trace().name();
-
-    lane.ctx.device = &lane.device;
-    lane.ctx.buffer = lane.buffer;
-    lane.ctx.dt = config.dt;
-    lane.ctx.workScale = 1.0 - lane.buffer->softwareOverheadFraction();
+    lane.run.begin();
 
     // Transpose the cell's physics state into the lane arrays and
     // mirror its (freshly reset, off) gate into the lane bank.
@@ -351,46 +297,34 @@ Engine::admit(int slot)
 
     bank.vEnable[slot] = config.enableVoltage;
     bank.vBrownout[slot] = config.brownoutVoltage;
-    bank.onMask &= static_cast<uint8_t>(~bit);
-    occupied |= bit;
-    if (lane.injector) {
-        injectorMask |= bit;
-        bank.liveMask &= static_cast<uint8_t>(~bit);
-    } else {
-        injectorMask &= static_cast<uint8_t>(~bit);
-        bank.liveMask |= bit;
-    }
-    if (lane.benchmark)
-        benchMask |= bit;
-    else
-        benchMask &= static_cast<uint8_t>(~bit);
-    if (lane.benchmark && lane.benchmark->tickObservesBuffer())
-        tickSyncMask |= bit;
-    else
-        tickSyncMask &= static_cast<uint8_t>(~bit);
-    if (lane.buffer->laneAgingEnabled())
-        agingMask |= bit;
-    else
-        agingMask &= static_cast<uint8_t>(~bit);
+    const auto assign = [bit](uint8_t &mask, bool set) {
+        mask = set ? static_cast<uint8_t>(mask | bit)
+                   : static_cast<uint8_t>(mask & ~bit);
+    };
+    assign(bank.onMask, false);
+    assign(occupied, true);
+    assign(injectorMask, lane.run.injector != nullptr);
+    assign(bank.liveMask, lane.run.injector == nullptr);
+    assign(benchMask, cell.benchmark != nullptr);
+    assign(tickSyncMask,
+           cell.benchmark && cell.benchmark->tickObservesBuffer());
+    assign(agingMask, lane.buffer->laneAgingEnabled());
 
     // Precompile the frontend into power spans (the per-step trace
     // index arithmetic and converter evaluation happen here, once per
     // distinct sample run, instead of once per step).
-    lane.frontend->compileStepSpans(config.dt, lane.spans);
+    cell.frontend->compileStepSpans(config.dt, lane.spans);
     lane.spanIdx = 0;
     lane.spanPower = lane.spans[0].watts;
     hot.rollStep[slot] = lane.spans[0].steps == trace::StepSpan::kOpenEnded
         ? UINT64_MAX
         : 1 + lane.spans[0].steps;
-    if (!lane.injector)
+    if (!lane.run.injector)
         stepper.setHarvestPower(slot, lane.spanPower);
 
-    const double duration = lane.frontend->traceDuration().raw();
     hot.t[slot] = config.dt;
     hot.onTime[slot] = 0.0;
-    hot.endT[slot] = duration;
-    hot.hardEndT[slot] = duration + config.drainAllowance;
-    hot.armT[slot] = duration;
+    hot.armT[slot] = lane.run.traceEnd;
     hot.steps[slot] = 1;
     hot.lastOnStep[slot] = 0;
     lane.nextRecord = 0.0;
@@ -407,9 +341,26 @@ Engine::admit(int slot)
 void
 Engine::retire(Lane &lane, int slot)
 {
-    lane.result->onTime = hot.onTime[slot];
-    finalizeLane(lane, stepper, slot, config, hot.t[slot],
-                 hot.steps[slot]);
+    ExperimentResult &result = lane.run.result;
+    result.totalTime = hot.t[slot];
+    result.steps = hot.steps[slot];
+    result.onTime = hot.onTime[slot];
+
+    // Write the lane physics state back: voltage, then the four ledger
+    // accumulators the kernel carried (faultLoss accrued directly on
+    // the buffer's ledger via laneStepAging; the rest were never
+    // touched, exactly as in per-cell stepping).  Then the finalization
+    // tail runExperiment shares; no finished-checkpoint write, since
+    // admission requires an empty checkpointPath, where runExperiment
+    // skips it too.
+    syncLaneVoltage(lane, stepper, slot);
+    sim::EnergyLedger &ledger = lane.buffer->laneLedger();
+    ledger.leaked = units::Joules(stepper.leaked(slot));
+    ledger.harvested = units::Joules(stepper.harvested(slot));
+    ledger.delivered = units::Joules(stepper.delivered(slot));
+    ledger.clipped = units::Joules(stepper.clipped(slot));
+    finalizeExperiment(lane.run);
+
     stepper.freezeLane(slot);
     hot.wakeStep[slot] = UINT64_MAX;
     const uint8_t bit = static_cast<uint8_t>(1u << slot);
@@ -435,56 +386,65 @@ Engine::refill()
 }
 
 inline void
+Engine::tickLane(int s)
+{
+    hot.onTime[s] += config.dt;
+    hot.lastOnStep[s] = hot.steps[s];
+    Lane &lane = *slots[s];
+    if ((tickSyncMask & (1u << s)) != 0)
+        syncLaneVoltage(lane, stepper, s);
+    lane.run.tick(hot.t[s]);
+}
+
+inline void
 Engine::svcWorkload(int s)
 {
     const uint8_t bit = static_cast<uint8_t>(1u << s);
-    const bool on = (injectorMask & bit) != 0 ? slots[s]->gate.isOn()
+    const bool on = (injectorMask & bit) != 0 ? slots[s]->run.gate.isOn()
                                               : bank.isOn(s);
     if (on) {
-        hot.onTime[s] += config.dt;
-        hot.lastOnStep[s] = hot.steps[s];
-        if ((benchMask & bit) != 0) {
-            Lane &lane = *slots[s];
-            if ((tickSyncMask & bit) != 0)
-                syncLaneVoltage(lane, stepper, s);
-            lane.ctx.now = hot.t[s];
-            lane.benchmark->tick(lane.ctx);
-            dirtyMask |= bit;
-        } else {
-            slots[s]->device.setState(mcu::PowerState::Active);
-        }
+        tickLane(s);
+        dirtyMask |= static_cast<uint8_t>(bit & benchMask);
     }
 }
 
 inline bool
 Engine::svcBookkeeping(int s)
 {
-    if (config.recordRail) {
-        Lane &lane = *slots[s];
-        if (hot.t[s] >= lane.nextRecord) {
-            lane.nextRecord += config.recordInterval;
-            const uint8_t bit = static_cast<uint8_t>(1u << s);
-            const bool on = (injectorMask & bit) != 0
-                ? lane.gate.isOn()
-                : bank.isOn(s);
-            lane.result->rail.push_back({hot.t[s], stepper.voltage(s), on,
-                                         lane.buffer->capacitanceLevel()});
-        }
+    Lane &lane = *slots[s];
+    if (config.recordRail && hot.t[s] >= lane.nextRecord) {
+        lane.nextRecord += config.recordInterval;
+        const uint8_t bit = static_cast<uint8_t>(1u << s);
+        const bool on = (injectorMask & bit) != 0 ? lane.run.gate.isOn()
+                                                  : bank.isOn(s);
+        lane.run.result.rail.push_back({hot.t[s], stepper.voltage(s), on,
+                                        lane.buffer->capacitanceLevel()});
     }
 
-    if (config.stopAfterLatency && slots[s]->result->latency >= 0.0)
+    // The gate has been off settleTime once settleSteps consecutive off
+    // steps have passed.
+    if (lane.run.finished(hot.t[s],
+                          hot.steps[s] - hot.lastOnStep[s] >= settleSteps))
         return true;
-    if (hot.t[s] >= hot.endT[s]) {
-        // The classic exit: past the trace end, leave once the gate
-        // has been off settleTime (== settleSteps consecutive off
-        // steps) or the drain allowance runs out.
-        if (hot.steps[s] - hot.lastOnStep[s] >= settleSteps ||
-            hot.t[s] >= hot.hardEndT[s])
-            return true;
-        // Not exiting yet: the next time-armed wake is the hard end.
-        hot.armT[s] = hot.hardEndT[s];
-    }
+    // Not exiting yet: past the trace end, the next time-armed wake is
+    // the hard end.
+    if (hot.t[s] >= lane.run.traceEnd)
+        hot.armT[s] = lane.run.hardEnd;
     return false;
+}
+
+inline void
+Engine::rollSpan(int s)
+{
+    Lane &lane = *slots[s];
+    const trace::StepSpan &sp = lane.spans[++lane.spanIdx];
+    lane.spanPower = sp.watts;
+    hot.rollStep[s] = sp.steps == trace::StepSpan::kOpenEnded
+        ? UINT64_MAX
+        : hot.rollStep[s] + sp.steps;
+    // An injector lane's harvest power is set per step, after filtering.
+    if ((injectorMask & (1u << s)) == 0)
+        stepper.setHarvestPower(s, sp.watts);
 }
 
 inline void
@@ -496,31 +456,19 @@ Engine::svcPre(int s, uint8_t flips)
     if ((injectorMask & bit) != 0) {
         // Comparator reads consume injector randomness, so the
         // authoritative gate runs every step, as in runExperiment.
-        changed = slots[s]->gate.update(units::Volts(stepper.voltage(s)));
+        changed =
+            slots[s]->run.gate.update(units::Volts(stepper.voltage(s)));
     } else if ((flips & bit) != 0) {
-        changed = slots[s]->gate.update(units::Volts(stepper.voltage(s)));
+        changed =
+            slots[s]->run.gate.update(units::Volts(stepper.voltage(s)));
         react_assert(changed, "gate bank flagged a transition the "
                               "authoritative gate did not take");
         bank.toggle(bit);
     }
     if (changed) {
-        Lane &lane = *slots[s];
         // Hooks may observe the buffer; give it the lane rail.
-        syncLaneVoltage(lane, stepper, s);
-        lane.ctx.now = hot.t[s];
-        if (lane.gate.isOn()) {
-            if (lane.result->latency < 0.0)
-                lane.result->latency = hot.t[s];
-            lane.device.setState(mcu::PowerState::Active);
-            lane.buffer->notifyBackendPower(true);
-            if (lane.benchmark)
-                lane.benchmark->onPowerUp(lane.ctx);
-        } else {
-            if (lane.benchmark)
-                lane.benchmark->onPowerDown(lane.ctx);
-            lane.device.setState(mcu::PowerState::Off);
-            lane.buffer->notifyBackendPower(false);
-        }
+        syncLaneVoltage(*slots[s], stepper, s);
+        slots[s]->run.gateEdge(hot.t[s]);
         dirtyMask |= bit;
     }
 
@@ -528,23 +476,16 @@ Engine::svcPre(int s, uint8_t flips)
     // frontend->power call bit for bit (rollStep is the step whose
     // head crosses into the next span, exactly the step the old
     // countdown hit zero on).
-    if (hot.steps[s] == hot.rollStep[s]) {
-        Lane &lane = *slots[s];
-        const trace::StepSpan &sp = lane.spans[++lane.spanIdx];
-        lane.spanPower = sp.watts;
-        hot.rollStep[s] = sp.steps == trace::StepSpan::kOpenEnded
-            ? UINT64_MAX
-            : hot.rollStep[s] + sp.steps;
-        if ((injectorMask & bit) == 0)
-            stepper.setHarvestPower(s, sp.watts);
-    }
+    if (hot.steps[s] == hot.rollStep[s])
+        rollSpan(s);
 
     if ((injectorMask & bit) != 0) {
         Lane &lane = *slots[s];
-        lane.injector->advance(units::Seconds(config.dt));
+        lane.run.injector->advance(units::Seconds(config.dt));
         stepper.setHarvestPower(
-            s, lane.injector->filterHarvest(units::Watts(lane.spanPower))
-                   .raw());
+            s,
+            lane.run.injector->filterHarvest(units::Watts(lane.spanPower))
+                .raw());
     }
 
     // Step phase 0 (dielectric aging) runs scalar on the cell's own
@@ -573,7 +514,7 @@ Engine::svcPre(int s, uint8_t flips)
     }
     // The wake scan fires on the step before the span roll (so this
     // head runs on the roll step itself), on the pending settle-exit
-    // step, and before the armT (endT or hardEndT) crossing.  A
+    // step, and before the armT (traceEnd or hardEnd) crossing.  A
     // settle target already reached is dropped -- the exit it guarded
     // now waits on the armT crossing -- which keeps a
     // settled-but-not-ended lane from waking every step.
@@ -605,11 +546,28 @@ Engine::svcPre(int s, uint8_t flips)
 }
 
 inline void
+Engine::stepPhysics()
+{
+    if (__builtin_popcount(occupied) <= 2) {
+        for (uint8_t m = occupied; m != 0; m &= static_cast<uint8_t>(m - 1))
+            stepper.stepLane(__builtin_ctz(m));
+    } else if ((occupied & 0xF0u) == 0) {
+        // LPT admission keeps the longest cells in the low slots, so
+        // ragged tails collapse into the lower half: a 4-wide step
+        // halves the divider chain and skips the frozen upper lanes'
+        // no-op steps.
+        stepper.stepLower();
+    } else {
+        stepper.step();
+    }
+}
+
+inline void
 Engine::flushLoads()
 {
     for (uint8_t m = dirtyMask; m != 0; m &= static_cast<uint8_t>(m - 1)) {
         const int s = __builtin_ctz(m);
-        stepper.setLoadCurrent(s, slots[s]->device.current());
+        stepper.setLoadCurrent(s, slots[s]->run.device.current());
     }
     dirtyMask = 0;
 }
@@ -672,18 +630,8 @@ Engine::run(BatchPhaseStats *stats)
             stepper.quiet() && nextWakeIter != UINT64_MAX &&
             iter < nextWakeIter) {
             const uint64_t n = nextWakeIter - iter;
-            const bool few = __builtin_popcount(occupied) <= 2;
-            const bool lower = (occupied & 0xF0u) == 0;
             for (uint64_t k = 0; k < n; ++k) {
-                if (few) {
-                    for (uint8_t m = occupied; m != 0;
-                         m &= static_cast<uint8_t>(m - 1))
-                        stepper.stepLane(__builtin_ctz(m));
-                } else if (lower) {
-                    stepper.stepLower();
-                } else {
-                    stepper.step();
-                }
+                stepPhysics();
                 for (int s = 0; s < kLanes; ++s) {
                     hot.t[s] += dt;
                     ++hot.steps[s];
@@ -697,24 +645,8 @@ Engine::run(BatchPhaseStats *stats)
         if (timed)
             c0 = phaseTicks();
 
-        // Physics: every lane at once.  With at most two cells left
-        // live, per-lane scalar stepping of just those lanes replaces
-        // the full-width kernel -- bit-identical (a frozen lane's step
-        // is a bitwise no-op) and cheaper than running the divider
-        // over six no-op lanes.
-        if (__builtin_popcount(occupied) <= 2) {
-            for (uint8_t m = occupied; m != 0;
-                 m &= static_cast<uint8_t>(m - 1))
-                stepper.stepLane(__builtin_ctz(m));
-        } else if ((occupied & 0xF0u) == 0) {
-            // LPT admission keeps the longest cells in the low slots,
-            // so ragged tails collapse into the lower half: a 4-wide
-            // step halves the divider chain and skips the frozen
-            // upper lanes' no-op steps.
-            stepper.stepLower();
-        } else {
-            stepper.step();
-        }
+        // Physics: every lane at once.
+        stepPhysics();
         if (timed)
             c1 = phaseTicks();
 
@@ -723,10 +655,10 @@ Engine::run(BatchPhaseStats *stats)
         // Steady-state fast pass: with no gate flip, no integer wake
         // due, and no lane needing per-step special machinery
         // (injector randomness, aging drift, rail recording), an
-        // awake lane's whole service is on-time accounting, the
-        // benchmark tick, the span-roll check, and the load re-query
-        // -- the exact statements svcWorkload/svcPre would run, with
-        // every branch they would not take pre-resolved.  Such a
+        // awake lane's whole service is tickLane, the span-roll check,
+        // and the load re-query -- the members svcWorkload and svcPre
+        // would call, with every branch they would not take
+        // pre-resolved.  Such a
         // lane's wakeStep is already parked at UINT64_MAX (it went on
         // through a serviced flip step), so no re-arm work exists
         // either, and sleeping lanes' absolute due point is untouched.
@@ -739,7 +671,7 @@ Engine::run(BatchPhaseStats *stats)
             bool plain = true;
             for (uint8_t m = on; m != 0; m &= static_cast<uint8_t>(m - 1)) {
                 const int s = __builtin_ctz(m);
-                plain &= hot.t[s] < hot.endT[s];
+                plain &= hot.t[s] < slots[s]->run.traceEnd;
             }
             if (plain) {
                 // One sweep per on lane: the tick at step k, then step
@@ -752,32 +684,15 @@ Engine::run(BatchPhaseStats *stats)
                 for (uint8_t m = on; m != 0;
                      m &= static_cast<uint8_t>(m - 1)) {
                     const int s = __builtin_ctz(m);
-                    hot.onTime[s] += dt;
-                    hot.lastOnStep[s] = hot.steps[s];
-                    Lane &lane = *slots[s];
-                    if ((benchMask & (1u << s)) != 0) {
-                        if ((tickSyncMask & (1u << s)) != 0)
-                            syncLaneVoltage(lane, stepper, s);
-                        lane.ctx.now = hot.t[s];
-                        lane.benchmark->tick(lane.ctx);
-                    } else {
-                        lane.device.setState(mcu::PowerState::Active);
-                    }
-                    if (hot.steps[s] + 1 == hot.rollStep[s]) {
-                        const trace::StepSpan &sp =
-                            lane.spans[++lane.spanIdx];
-                        lane.spanPower = sp.watts;
-                        hot.rollStep[s] =
-                            sp.steps == trace::StepSpan::kOpenEnded
-                            ? UINT64_MAX
-                            : hot.rollStep[s] + sp.steps;
-                        stepper.setHarvestPower(s, sp.watts);
-                    }
+                    tickLane(s);
+                    if (hot.steps[s] + 1 == hot.rollStep[s])
+                        rollSpan(s);
                     // A tick is the only thing that can have moved the
                     // backend load here (no flip, no injector); lanes
                     // without a benchmark keep their settled current.
                     if ((benchMask & (1u << s)) != 0)
-                        stepper.setLoadCurrent(s, lane.device.current());
+                        stepper.setLoadCurrent(
+                            s, slots[s]->run.device.current());
                 }
                 for (int s = 0; s < kLanes; ++s) {
                     hot.t[s] += dt;
@@ -806,16 +721,10 @@ Engine::run(BatchPhaseStats *stats)
                                  occupied);
 
         if (wake != 0) {
-            if (timed) {
-                for (uint8_t m = wake; m != 0;
-                     m &= static_cast<uint8_t>(m - 1))
-                    svcWorkload(__builtin_ctz(m));
+            for (uint8_t m = wake; m != 0; m &= static_cast<uint8_t>(m - 1))
+                svcWorkload(__builtin_ctz(m));
+            if (timed)
                 c2 = phaseTicks();
-            } else {
-                for (uint8_t m = wake; m != 0;
-                     m &= static_cast<uint8_t>(m - 1))
-                    svcWorkload(__builtin_ctz(m));
-            }
 
             for (uint8_t m = wake; m != 0;
                  m &= static_cast<uint8_t>(m - 1)) {

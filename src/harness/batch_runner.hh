@@ -35,8 +35,8 @@
  *    with no injector, aging, or rail recording sleeps -- zero
  *    per-step control work beyond one shared clock advance and two
  *    SoA wake compares -- until a gate flip (caught by the bank's
- *    vector compare), its next span roll, its settle-exit step, or an
- *    endT/hardEndT crossing, all of which are precomputed wake
+ *    vector compare), its next span roll, its settle-exit step, or a
+ *    trace-end/hard-end crossing, all of which are precomputed wake
  *    targets (see Engine in batch_runner.cc for the equivalence
  *    argument).
  *
@@ -45,7 +45,11 @@
  * to runExperiment() running that cell alone: the physics kernel
  * replays the exact scalar operation sequence, the span table replays
  * the exact per-step trace/converter arithmetic, and the control plane
- * replicates runExperiment's loop order statement for statement.
+ * is the same code -- each lane owns an ExperimentRun
+ * (harness/experiment.hh) and calls its begin, gateEdge, tick and
+ * finished steps, and finalizeExperiment, in runExperiment's order.
+ * Only the settle count differs in form: an integer run of off steps
+ * replaying runExperiment's float off-streak.
  * Cells that finish early are frozen in place until their lane
  * refills, so batch composition, batch size, ragged tails, and refill
  * order provably do not affect any cell's numbers

@@ -37,6 +37,35 @@ ExperimentResult::workLostVersus(const ExperimentResult &fault_free) const
 
 namespace {
 
+/** Serialize a rail recording (in a finished result and in a mid-run
+ *  checkpoint's experiment section). */
+void
+saveRail(snapshot::SnapshotWriter &w, const std::vector<RailSample> &rail)
+{
+    w.u32(static_cast<uint32_t>(rail.size()));
+    for (const auto &s : rail) {
+        w.f64(s.time);
+        w.f64(s.voltage);
+        w.b(s.backendOn);
+        w.u32(static_cast<uint32_t>(s.level));
+    }
+}
+
+void
+restoreRail(snapshot::SnapshotReader &r, std::vector<RailSample> *rail)
+{
+    rail->clear();
+    const uint32_t samples = r.u32();  // untrusted: no reserve
+    for (uint32_t i = 0; i < samples; ++i) {
+        RailSample s;
+        s.time = r.f64();
+        s.voltage = r.f64();
+        s.backendOn = r.b();
+        s.level = static_cast<int>(r.u32());
+        rail->push_back(s);
+    }
+}
+
 /** Serialize a complete result (the payload of a "finished" snapshot:
  *  resuming a completed cell returns this instead of re-running). */
 void
@@ -69,13 +98,7 @@ saveResult(snapshot::SnapshotWriter &w, const ExperimentResult &res)
         w.str(ev.component);
         w.f64(ev.magnitude);
     }
-    w.u32(static_cast<uint32_t>(res.rail.size()));
-    for (const auto &s : res.rail) {
-        w.f64(s.time);
-        w.f64(s.voltage);
-        w.b(s.backendOn);
-        w.u32(static_cast<uint32_t>(s.level));
-    }
+    saveRail(w, res.rail);
     w.b(res.halted);
     w.u32(res.stateDigest);
 }
@@ -116,31 +139,100 @@ restoreResult(snapshot::SnapshotReader &r, ExperimentResult *res)
         ev.magnitude = r.f64();
         res->faultLog.push_back(std::move(ev));
     }
-    res->rail.clear();
-    const uint32_t samples = r.u32();
-    for (uint32_t i = 0; i < samples; ++i) {
-        RailSample s;
-        s.time = r.f64();
-        s.voltage = r.f64();
-        s.backendOn = r.b();
-        s.level = static_cast<int>(r.u32());
-        res->rail.push_back(s);
-    }
+    restoreRail(r, &res->rail);
     res->halted = r.b();
     res->stateDigest = r.u32();
 }
 
 } // namespace
 
-void
-finalizeExperiment(ExperimentResult &result,
-                   const buffer::EnergyBuffer &buffer,
-                   const workload::Benchmark *benchmark,
-                   const sim::PowerGate &gate, const mcu::Device &device,
-                   const sim::FaultInjector *injector, double stored_start,
-                   const ExperimentConfig &config)
+ExperimentRun::ExperimentRun(buffer::EnergyBuffer &buffer_,
+                             workload::Benchmark *benchmark_,
+                             const harvest::HarvesterFrontend &frontend_,
+                             const ExperimentConfig &config_,
+                             ExperimentResult &result_)
+    : buffer(buffer_), benchmark(benchmark_), frontend(frontend_),
+      config(config_), result(result_), device(backendSpec()),
+      gate(units::Volts(config_.enableVoltage),
+           units::Volts(config_.brownoutVoltage)),
+      traceEnd(frontend_.traceDuration().raw()),
+      hardEnd(traceEnd + config_.drainAllowance)
 {
-    result.powerCycles = device.powerCycles();
+    ctx.device = &device;
+    ctx.buffer = &buffer;
+    ctx.dt = config.dt;
+}
+
+ExperimentRun::~ExperimentRun()
+{
+    if (injector) {
+        buffer.attachFaultInjector(nullptr);
+        gate.attachFaultInjector(nullptr);
+    }
+}
+
+void
+ExperimentRun::begin()
+{
+    buffer.reset();
+    if (benchmark)
+        benchmark->reset();
+    device.reset();
+    gate.reset();
+    injector.reset();
+    if (config.faultPlan.enabled()) {
+        injector = std::make_unique<sim::FaultInjector>(config.faultPlan,
+                                                        config.faultSeed);
+        buffer.attachFaultInjector(injector.get());
+        gate.attachFaultInjector(injector.get());
+    }
+    storedStart = buffer.storedEnergy().raw();
+
+    result = ExperimentResult();
+    result.bufferName = buffer.name();
+    result.benchmarkName = benchmark ? benchmark->name() : "(none)";
+    result.traceName = frontend.trace().name();
+    ctx.workScale = 1.0 - buffer.softwareOverheadFraction();
+}
+
+void
+ExperimentRun::gateEdge(double t)
+{
+    ctx.now = t;
+    if (gate.isOn()) {
+        if (result.latency < 0.0)
+            result.latency = t;
+        device.setState(mcu::PowerState::Active);
+        buffer.notifyBackendPower(true);
+        if (benchmark)
+            benchmark->onPowerUp(ctx);
+    } else {
+        if (benchmark)
+            benchmark->onPowerDown(ctx);
+        device.setState(mcu::PowerState::Off);
+        buffer.notifyBackendPower(false);
+    }
+}
+
+void
+ExperimentRun::tick(double t)
+{
+    if (benchmark) {
+        ctx.now = t;
+        benchmark->tick(ctx);
+    } else {
+        device.setState(mcu::PowerState::Active);
+    }
+}
+
+void
+finalizeExperiment(ExperimentRun &run)
+{
+    ExperimentResult &result = run.result;
+    const buffer::EnergyBuffer &buffer = run.buffer;
+    const workload::Benchmark *benchmark = run.benchmark;
+    const sim::FaultInjector *injector = run.injector.get();
+    result.powerCycles = run.device.powerCycles();
     if (benchmark) {
         result.workUnits = benchmark->workUnits();
         result.packetsRx = benchmark->packetsReceived();
@@ -158,12 +250,12 @@ finalizeExperiment(ExperimentResult &result,
     result.conservationError =
         result.ledger
             .conservationError(units::Joules(result.residualEnergy -
-                                             stored_start))
+                                             run.storedStart))
             .raw();
     const double tolerance =
         1e-9 * std::max(1.0, result.ledger.harvested.raw());
     if (std::abs(result.conservationError) > tolerance) {
-        if (config.strictConservation) {
+        if (run.config.strictConservation) {
             react_panic("energy ledger violated conservation: error %.3e J "
                         "(harvested %.3e J, tolerance %.3e J)",
                         result.conservationError,
@@ -193,8 +285,8 @@ finalizeExperiment(ExperimentResult &result,
     // the benchmark make delivery ids part of the fingerprint.
     snapshot::SnapshotWriter dw;
     dw.beginSection("digest");
-    gate.save(dw);
-    device.save(dw);
+    run.gate.save(dw);
+    run.device.save(dw);
     buffer.save(dw);
     if (benchmark)
         benchmark->save(dw);
@@ -210,44 +302,13 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
               const harvest::HarvesterFrontend &frontend,
               const ExperimentConfig &config)
 {
-    buffer.reset();
-    if (benchmark)
-        benchmark->reset();
-
-    mcu::Device device(backendSpec());
-    sim::PowerGate gate(units::Volts(config.enableVoltage),
-                        units::Volts(config.brownoutVoltage));
-
-    // Fault injection is strictly opt-in: with the all-zero default plan
-    // no injector exists and every code path below is bit-identical to
-    // the fault-free build.
-    std::unique_ptr<sim::FaultInjector> injector;
-    if (config.faultPlan.enabled()) {
-        injector = std::make_unique<sim::FaultInjector>(config.faultPlan,
-                                                        config.faultSeed);
-        buffer.attachFaultInjector(injector.get());
-        gate.attachFaultInjector(injector.get());
-    }
-    double stored_start = buffer.storedEnergy().raw();
-
     ExperimentResult result;
-    result.bufferName = buffer.name();
-    result.benchmarkName = benchmark ? benchmark->name() : "(none)";
-    result.traceName = frontend.trace().name();
-
-    const double trace_duration = frontend.traceDuration().raw();
-    const double work_scale = 1.0 - buffer.softwareOverheadFraction();
+    ExperimentRun run(buffer, benchmark, frontend, config, result);
+    run.begin();
 
     double t = 0.0;
     double off_streak = 0.0;
     double next_record = 0.0;
-
-    const auto detach_injector = [&]() {
-        if (injector) {
-            buffer.attachFaultInjector(nullptr);
-            gate.attachFaultInjector(nullptr);
-        }
-    };
 
     // Snapshot layout.  The meta section pins the experiment identity so
     // a stale checkpoint from a different cell is rejected (and degrades
@@ -260,7 +321,7 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
         w.str(result.traceName);
         w.f64(config.dt);
         w.u64(config.faultSeed);
-        w.b(injector != nullptr);
+        w.b(run.injector != nullptr);
         w.b(finished);
         w.endSection();
         if (finished) {
@@ -272,23 +333,17 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
             w.f64(t);
             w.f64(off_streak);
             w.f64(next_record);
-            w.f64(stored_start);
+            w.f64(run.storedStart);
             w.u64(result.steps);
             w.f64(result.latency);
             w.f64(result.onTime);
-            w.u32(static_cast<uint32_t>(result.rail.size()));
-            for (const auto &s : result.rail) {
-                w.f64(s.time);
-                w.f64(s.voltage);
-                w.b(s.backendOn);
-                w.u32(static_cast<uint32_t>(s.level));
-            }
+            saveRail(w, result.rail);
             w.endSection();
             w.beginSection("gate");
-            gate.save(w);
+            run.gate.save(w);
             w.endSection();
             w.beginSection("device");
-            device.save(w);
+            run.device.save(w);
             w.endSection();
             w.beginSection("buffer");
             buffer.save(w);
@@ -298,9 +353,9 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
                 benchmark->save(w);
                 w.endSection();
             }
-            if (injector) {
+            if (run.injector) {
                 w.beginSection("injector");
-                injector->save(w);
+                run.injector->save(w);
                 w.endSection();
             }
         }
@@ -331,7 +386,7 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
                     bench_name != result.benchmarkName ||
                     trace_name != result.traceName || dt != config.dt ||
                     seed != config.faultSeed ||
-                    had_injector != (injector != nullptr))
+                    had_injector != (run.injector != nullptr))
                     throw snapshot::SnapshotError(
                         "checkpoint belongs to a different experiment (" +
                         buf_name + " / " + bench_name + " / " +
@@ -346,33 +401,23 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
                     r.endSection();
                     result = std::move(stored);
                     result.resumed = true;
-                    detach_injector();
                     return result;
                 }
                 r.beginSection("experiment");
                 t = r.f64();
                 off_streak = r.f64();
                 next_record = r.f64();
-                stored_start = r.f64();
+                run.storedStart = r.f64();
                 result.steps = r.u64();
                 result.latency = r.f64();
                 result.onTime = r.f64();
-                result.rail.clear();
-                const uint32_t samples = r.u32();  // untrusted: no reserve
-                for (uint32_t i = 0; i < samples; ++i) {
-                    RailSample s;
-                    s.time = r.f64();
-                    s.voltage = r.f64();
-                    s.backendOn = r.b();
-                    s.level = static_cast<int>(r.u32());
-                    result.rail.push_back(s);
-                }
+                restoreRail(r, &result.rail);
                 r.endSection();
                 r.beginSection("gate");
-                gate.restore(r);
+                run.gate.restore(r);
                 r.endSection();
                 r.beginSection("device");
-                device.restore(r);
+                run.device.restore(r);
                 r.endSection();
                 r.beginSection("buffer");
                 buffer.restore(r);
@@ -382,109 +427,62 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
                     benchmark->restore(r);
                     r.endSection();
                 }
-                if (injector) {
+                if (run.injector) {
                     r.beginSection("injector");
-                    injector->restore(r);
+                    run.injector->restore(r);
                     r.endSection();
                 }
                 result.resumed = true;
             } catch (const snapshot::SnapshotError &e) {
                 // A structurally mismatched snapshot may have touched
-                // some components before the throw: rebuild everything
-                // so the cold start is a true cold start.
+                // some components before the throw: begin again so the
+                // cold start is a true cold start.
                 react_warn("checkpoint rejected (%s); cold-starting",
                            e.what());
-                result.snapshotDiagnostic +=
-                    std::string("; rejected: ") + e.what();
-                result.resumed = false;
-                buffer.reset();
-                if (benchmark)
-                    benchmark->reset();
-                device.reset();
-                gate.reset();
-                if (injector) {
-                    injector = std::make_unique<sim::FaultInjector>(
-                        config.faultPlan, config.faultSeed);
-                    buffer.attachFaultInjector(injector.get());
-                    gate.attachFaultInjector(injector.get());
-                }
-                stored_start = buffer.storedEnergy().raw();
+                run.begin();
                 t = 0.0;
                 off_streak = 0.0;
                 next_record = 0.0;
-                result.steps = 0;
-                result.latency = -1.0;
-                result.onTime = 0.0;
-                result.rail.clear();
+                result.snapshotFallback = load.usedFallback;
+                result.snapshotDiagnostic =
+                    load.diagnostic + "; rejected: " + e.what();
             }
         }
     }
-
-    workload::BenchContext ctx;
-    ctx.device = &device;
-    ctx.buffer = &buffer;
-    ctx.workScale = work_scale;
 
     while (true) {
         t += config.dt;
         ++result.steps;
 
         // Power gate observes the rail left by the previous step.
-        if (gate.update(buffer.railVoltage())) {
-            ctx.now = t;
-            ctx.dt = config.dt;
-            if (gate.isOn()) {
-                if (result.latency < 0.0)
-                    result.latency = t;
-                device.setState(mcu::PowerState::Active);
-                buffer.notifyBackendPower(true);
-                if (benchmark)
-                    benchmark->onPowerUp(ctx);
-            } else {
-                if (benchmark)
-                    benchmark->onPowerDown(ctx);
-                device.setState(mcu::PowerState::Off);
-                buffer.notifyBackendPower(false);
-            }
-        }
+        if (run.gate.update(buffer.railVoltage()))
+            run.gateEdge(t);
 
         units::Watts input_power = frontend.power(units::Seconds(t));
-        if (injector) {
-            injector->advance(units::Seconds(config.dt));
-            input_power = injector->filterHarvest(input_power);
+        if (run.injector) {
+            run.injector->advance(units::Seconds(config.dt));
+            input_power = run.injector->filterHarvest(input_power);
         }
         buffer.step(units::Seconds(config.dt), input_power,
-                    units::Amps(device.current()));
+                    units::Amps(run.device.current()));
 
-        if (gate.isOn()) {
+        if (run.gate.isOn()) {
             result.onTime += config.dt;
             off_streak = 0.0;
-            if (benchmark) {
-                ctx.now = t;
-                ctx.dt = config.dt;
-                benchmark->tick(ctx);
-            } else {
-                device.setState(mcu::PowerState::Active);
-            }
+            run.tick(t);
         } else {
             off_streak += config.dt;
         }
 
         if (config.recordRail && t >= next_record) {
             next_record += config.recordInterval;
-            result.rail.push_back({t, buffer.railVoltage().raw(), gate.isOn(),
+            result.rail.push_back({t, buffer.railVoltage().raw(),
+                                   run.gate.isOn(),
                                    buffer.capacitanceLevel()});
         }
 
-        if (config.stopAfterLatency && result.latency >= 0.0)
+        if (run.finished(t, off_streak >= config.settleTime))
             break;
-
-        if (t >= trace_duration) {
-            if (off_streak >= config.settleTime)
-                break;
-            if (t >= trace_duration + config.drainAllowance)
-                break;
-        }
 
         // The simulated crash stops before the checkpoint below: a real
         // power failure does not get to flush its final state either.
@@ -501,16 +499,13 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
     }
 
     result.totalTime = t;
-    finalizeExperiment(result, buffer, benchmark, gate, device,
-                       injector.get(), stored_start, config);
+    finalizeExperiment(run);
 
     // A completed cell leaves a "finished" snapshot behind so resuming
     // it again is instant; a simulated crash leaves whatever periodic
     // checkpoint was last flushed, exactly like a real power failure.
     if (!config.checkpointPath.empty() && !result.halted)
         write_checkpoint(true);
-
-    detach_injector();
     return result;
 }
 

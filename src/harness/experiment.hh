@@ -14,6 +14,7 @@
 #ifndef REACT_HARNESS_EXPERIMENT_HH
 #define REACT_HARNESS_EXPERIMENT_HH
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -187,24 +188,92 @@ struct ExperimentResult
 };
 
 /**
- * The finalization tail every stepping engine shares, so experiment
- * semantics have one definition: copy the device and benchmark counters
- * and the buffer's ledger and residual energy into `result`, audit
- * energy conservation against `stored_start` (panicking under
- * config.strictConservation), summarize the fault injector when there
- * is one, and fingerprint the final component state into
- * result.stateDigest.  runExperiment calls it after its loop; the lane
- * engine calls it once it has written a lane's state back into the
- * buffer object.  Leaves totalTime and steps to the caller.
+ * One run of the S 5 protocol: the per-run state both stepping engines
+ * (runExperiment and the lane engine, batch_runner.hh) need, and the
+ * protocol's four steps, defined once.  A run owns the backend device,
+ * the power gate, the optional fault injector, the benchmark context
+ * and the stored-energy baseline; the buffer, benchmark, frontend,
+ * config and result belong to the caller and must outlive the run.
+ *
+ * Each engine keeps its own clock, settle counting and physics, and
+ * calls the steps in the classic loop order: per step, gate.update on
+ * the rail left by the previous step and gateEdge when it flips; the
+ * buffer step; then tick while the gate is on; then finished().
  */
-void finalizeExperiment(ExperimentResult &result,
-                        const buffer::EnergyBuffer &buffer,
-                        const workload::Benchmark *benchmark,
-                        const sim::PowerGate &gate,
-                        const mcu::Device &device,
-                        const sim::FaultInjector *injector,
-                        double stored_start,
-                        const ExperimentConfig &config);
+struct ExperimentRun
+{
+    ExperimentRun(buffer::EnergyBuffer &buffer,
+                  workload::Benchmark *benchmark,
+                  const harvest::HarvesterFrontend &frontend,
+                  const ExperimentConfig &config, ExperimentResult &result);
+    /** Detaches the fault injector from the caller's buffer. */
+    ~ExperimentRun();
+
+    /**
+     * Start (or restart) cold: reset the buffer, benchmark, device and
+     * gate, build and attach a fresh injector when the fault plan is
+     * enabled, record storedStart, and reset the result to a fresh one
+     * carrying the buffer, benchmark and trace names.  A rejected
+     * checkpoint calls it again to make its cold start a true one.
+     */
+    void begin();
+
+    /**
+     * Apply the transition gate.update just reported, at time @p t:
+     * latch the latency on the first enable, switch the device, tell
+     * the buffer's controller, and fire the benchmark's power hook.
+     */
+    void gateEdge(double t);
+
+    /** One powered step at time @p t: the benchmark tick, or plain
+     *  active mode without a benchmark. */
+    void tick(double t);
+
+    /**
+     * The exit test, after step @p t: a latency-only run ends at the
+     * first enable; otherwise the run ends past the trace once the
+     * backend has stayed off settleTime (@p settled, counted by the
+     * engine) or the drain allowance runs out.
+     */
+    bool
+    finished(double t, bool settled) const
+    {
+        if (config.stopAfterLatency && result.latency >= 0.0)
+            return true;
+        return t >= traceEnd && (settled || t >= hardEnd);
+    }
+
+    buffer::EnergyBuffer &buffer;
+    workload::Benchmark *const benchmark;
+    const harvest::HarvesterFrontend &frontend;
+    const ExperimentConfig &config;
+    ExperimentResult &result;
+    mcu::Device device;
+    sim::PowerGate gate;
+    /** Null unless config.faultPlan is enabled (the fault-free run is
+     *  then bit-identical to a build without fault injection). */
+    std::unique_ptr<sim::FaultInjector> injector;
+    workload::BenchContext ctx;
+    /** Stored energy at the start, the conservation audit's baseline. */
+    double storedStart = 0.0;
+    /** Trace end: the drain exits arm past this time. */
+    const double traceEnd;
+    /** Trace end plus the drain allowance: the hard exit. */
+    const double hardEnd;
+};
+
+/**
+ * The finalization tail every stepping engine shares: copy the device
+ * and benchmark counters and the buffer's ledger and residual energy
+ * into the run's result, audit energy conservation against
+ * run.storedStart (panicking under config.strictConservation),
+ * summarize the fault injector when there is one, and fingerprint the
+ * final component state into result.stateDigest.  runExperiment calls
+ * it after its loop; the lane engine calls it once it has written a
+ * lane's state back into the buffer object.  Leaves totalTime, steps
+ * and onTime to the engine.
+ */
+void finalizeExperiment(ExperimentRun &run);
 
 /**
  * Run one experiment.  The buffer and benchmark are reset first.

@@ -37,6 +37,14 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /**
+ * Bytes the I/O thread reads from one connection per poll tick.  poll
+ * is level-triggered, so the rest waits for the next tick: a peer that
+ * sends valid frames faster than the server parses them cannot hold
+ * the thread while other connections wait.
+ */
+constexpr size_t kMaxReadPerTick = 64 * 1024;
+
+/**
  * The server's only sanctioned clock read.  Wall time feeds queue
  * deadlines and idle-timeout bookkeeping -- *whether* a job runs or a
  * silent peer is dropped, never *what* a job computes: result bytes
@@ -823,6 +831,7 @@ Server::serve()
             if (!conn->closing && (cp.revents & POLLIN)) {
                 conn->lastActivity = now;
                 uint8_t buf[4096];
+                size_t read_this_tick = 0;
                 for (;;) {
                     const ssize_t n = ::recv(conn->sock.fd(), buf,
                                              sizeof(buf), MSG_DONTWAIT);
@@ -844,10 +853,14 @@ Server::serve()
                             break;
                         }
                         // A connection dropped mid-read (outbuf
-                        // overflow) is read no further: a peer that
-                        // never stops sending would otherwise keep this
-                        // loop, and the whole I/O thread, here forever.
-                        if (conn->closing)
+                        // overflow) is read no further, and a live one
+                        // no further this tick once it has had its
+                        // share: a peer that never stops sending would
+                        // otherwise keep this loop, and the whole I/O
+                        // thread, here forever.
+                        read_this_tick += static_cast<size_t>(n);
+                        if (conn->closing ||
+                            read_this_tick >= kMaxReadPerTick)
                             break;
                         continue;
                     }

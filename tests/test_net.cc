@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -1205,6 +1206,82 @@ TEST_F(NetIntegrationTcp, MalformedBytesOverTcpCostTheConnectionOnly)
     EXPECT_TRUE(client.ping());
     const JobSpec spec = quickSpec();
     EXPECT_EQ(client.runJob(spec).resultBytes, directResultBytes(spec));
+}
+
+TEST_F(NetIntegrationTcp, FloodingPeerCannotStarveAnotherConnection)
+{
+    // One peer writes valid Pings as fast as the socket takes them, and
+    // a reader thread drains its Pongs so the outbuf cap never drops
+    // it.  The server reads a bounded share of each connection per poll
+    // tick, so a second client's Hello + Submit + Poll still completes
+    // while the flood runs.
+    Socket flood = connectBound(*server, 1000);
+    const std::vector<uint8_t> ping = makePing();
+    std::vector<uint8_t> burst;
+    for (int i = 0; i < 4096; ++i)
+        burst.insert(burst.end(), ping.begin(), ping.end());
+    std::atomic<bool> stop_writer{false};
+    std::atomic<bool> stop_reader{false};
+    std::atomic<bool> flood_cut{false};
+    std::atomic<uint64_t> pong_bytes{0};
+    std::thread writer([&] {
+        try {
+            while (!stop_writer.load())
+                sendAll(flood.fd(), burst.data(), burst.size(), 10000);
+        } catch (const SocketError &) {
+            flood_cut = true;
+        }
+    });
+    std::thread reader([&] {
+        std::vector<uint8_t> buf(64 * 1024);
+        try {
+            while (!stop_reader.load()) {
+                if (!waitReadable(flood.fd(), 50))
+                    continue;
+                const size_t n =
+                    recvSome(flood.fd(), buf.data(), buf.size(), 1000);
+                if (n == 0) {
+                    flood_cut = true;
+                    return;
+                }
+                pong_bytes += n;
+            }
+        } catch (const SocketError &) {
+            flood_cut = true;
+        }
+    });
+    // Start the second client only once the server is answering the
+    // flood.
+    const auto warmup =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (pong_bytes.load() < 1024 * 1024 && !flood_cut.load() &&
+           std::chrono::steady_clock::now() < warmup)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_GE(pong_bytes.load(), 1024u * 1024u);
+
+    const JobSpec spec = quickSpec();
+    const auto start = std::chrono::steady_clock::now();
+    Client client(clientConfig());
+    const JobOutcome outcome = client.runJob(spec);
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    const bool flooding = !flood_cut.load();
+
+    stop_writer = true;
+    writer.join();  // the reader keeps draining until the writer is out
+    stop_reader = true;
+    reader.join();
+
+    EXPECT_EQ(outcome.resultBytes, directResultBytes(spec));
+    EXPECT_LT(seconds, 20.0) << "second client starved behind the flood";
+    EXPECT_TRUE(flooding) << "the flood ended before the second client "
+                             "finished";
+    EXPECT_FALSE(flood_cut.load()) << "the server dropped the flooding peer";
+    server->requestDrain();
+    server_thread.join();
+    // Stats are read once serve() has returned (server.hh).
+    EXPECT_EQ(server->stats().outbufOverflows, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -473,8 +473,9 @@ TEST_F(SnapshotFileTest, PreviousLayoutCheckpointColdStartsWithDiagnostic)
         cell.config.faultPlan = p.plan;
         const auto cold = cell.run(cell.config);
         ASSERT_GT(cold.steps, 5000u);
-        if (p.plan.enabled())
+        if (p.plan.enabled()) {
             ASSERT_GT(cold.faultEvents, 0u);
+        }
 
         auto crash_cfg = cell.config;
         crash_cfg.checkpointPath = path;
