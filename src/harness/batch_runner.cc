@@ -297,18 +297,27 @@ Engine::admit(int slot)
 
     bank.vEnable[slot] = config.enableVoltage;
     bank.vBrownout[slot] = config.brownoutVoltage;
-    const auto assign = [bit](uint8_t &mask, bool set) {
-        mask = set ? static_cast<uint8_t>(mask | bit)
-                   : static_cast<uint8_t>(mask & ~bit);
-    };
-    assign(bank.onMask, false);
-    assign(occupied, true);
-    assign(injectorMask, lane.run.injector != nullptr);
-    assign(bank.liveMask, lane.run.injector == nullptr);
-    assign(benchMask, cell.benchmark != nullptr);
-    assign(tickSyncMask,
-           cell.benchmark && cell.benchmark->tickObservesBuffer());
-    assign(agingMask, lane.buffer->laneAgingEnabled());
+    bank.onMask &= static_cast<uint8_t>(~bit);
+    occupied |= bit;
+    if (lane.run.injector) {
+        injectorMask |= bit;
+        bank.liveMask &= static_cast<uint8_t>(~bit);
+    } else {
+        injectorMask &= static_cast<uint8_t>(~bit);
+        bank.liveMask |= bit;
+    }
+    if (cell.benchmark)
+        benchMask |= bit;
+    else
+        benchMask &= static_cast<uint8_t>(~bit);
+    if (cell.benchmark && cell.benchmark->tickObservesBuffer())
+        tickSyncMask |= bit;
+    else
+        tickSyncMask &= static_cast<uint8_t>(~bit);
+    if (lane.buffer->laneAgingEnabled())
+        agingMask |= bit;
+    else
+        agingMask &= static_cast<uint8_t>(~bit);
 
     // Precompile the frontend into power spans (the per-step trace
     // index arithmetic and converter evaluation happen here, once per
