@@ -21,8 +21,10 @@
  *     resumed result must match the golden run exactly.
  *  3. Damage: the primary snapshot file is truncated, then bit-flipped;
  *     the resume must fall back to `.prev` with a diagnostic and still
- *     finish golden-identical.  With *both* files damaged it must
- *     degrade to a clean cold start -- never UB, never a wrong result.
+ *     finish golden-identical.  A length-lie re-sealed under a valid
+ *     CRC must be rejected by the decoder and cold-start.  With *both*
+ *     files damaged it must degrade to a clean cold start -- never UB,
+ *     never a wrong result.
  *
  * On a mismatch the failing snapshot files and the repro parameters are
  * preserved (crash_fuzz_failing.*) and the process exits non-zero.
@@ -36,6 +38,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -44,6 +47,8 @@
 #include "harness/parallel_runner.hh"
 #include "harvest/frontend.hh"
 #include "trace/power_trace.hh"
+#include "util/byte_codec.hh"
+#include "util/crc32.hh"
 #include "util/rng.hh"
 
 namespace {
@@ -252,6 +257,43 @@ truncateFile(const std::string &path)
     return !ec;
 }
 
+/**
+ * A length-lie the CRC cannot see: rewrite the buffer-name length (the
+ * first field of the leading "meta" section) to ~4 GiB, then re-seal the
+ * section's CRC.  The file still validates, so only the decode of its
+ * fields can reject it.
+ */
+bool
+lengthLie(const std::string &path)
+{
+    std::vector<uint8_t> image;
+    {
+        std::ifstream in(path, std::ios::binary);
+        image.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    // Header (magic, version, section count), then u8 name length, the
+    // name, and the u64 payload length (snapshot/snapshot.hh).
+    const size_t section = 12;
+    const std::string meta = "meta";
+    const size_t payload = section + 1 + meta.size() + 8;
+    if (image.size() < payload ||
+        std::string(image.begin() + section + 1,
+                    image.begin() + section + 1 + meta.size()) != meta)
+        return false;
+    const uint64_t payload_len = loadLe64(image.data() + payload - 8);
+    if (payload_len < 4 || payload + payload_len + 4 > image.size())
+        return false;
+    storeLe32(image.data() + payload, 0xfffffff0u);
+    storeLe32(image.data() + payload + payload_len,
+              crc32(image.data() + section,
+                    payload + payload_len - section));
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(image.data()),
+              static_cast<std::streamsize>(image.size()));
+    return static_cast<bool>(out);
+}
+
 } // namespace
 
 int
@@ -337,17 +379,24 @@ main(int argc, char **argv)
         //    checkpoint generations exist, then damage them one by one.
         const uint64_t late_kill = kFuzzInterval * 2 + 1234;
         if (late_kill < golden.steps) {
+            enum class Expect
+            {
+                Fallback,   // primary unreadable: resume from .prev
+                Rejected,   // primary validates but will not decode
+                ColdStart,  // nothing usable on disk
+            };
             struct DamageStage
             {
                 const char *what;
                 bool (*apply)(const std::string &);
                 bool damagePrev;
-                bool expectFallback;
+                Expect expect;
             };
             const DamageStage stages[] = {
-                {"truncated", truncateFile, false, true},
-                {"bit-flipped", flipByte, false, true},
-                {"both-destroyed", flipByte, true, false},
+                {"truncated", truncateFile, false, Expect::Fallback},
+                {"bit-flipped", flipByte, false, Expect::Fallback},
+                {"length-lie", lengthLie, false, Expect::Rejected},
+                {"both-destroyed", flipByte, true, Expect::ColdStart},
             };
             for (const auto &stage : stages) {
                 removeSnapshots(snap);
@@ -373,14 +422,21 @@ main(int argc, char **argv)
                 const auto resumed = runCase(fc, power, resume_cfg);
                 const RunPrint got = RunPrint::of(resumed);
 
-                const bool outcome_ok = stage.expectFallback
-                    ? (resumed.snapshotFallback && resumed.resumed)
-                    : !resumed.resumed;
+                bool outcome_ok = !resumed.resumed;
+                const char *outcome = "cold start";
+                if (stage.expect == Expect::Fallback) {
+                    outcome_ok = resumed.snapshotFallback && resumed.resumed;
+                    outcome = "fell back to .prev";
+                } else if (stage.expect == Expect::Rejected) {
+                    outcome_ok = outcome_ok && !resumed.snapshotFallback &&
+                        resumed.snapshotDiagnostic.find("rejected") !=
+                            std::string::npos;
+                    outcome = "rejected, cold start";
+                }
                 if (got == golden && outcome_ok &&
                     !resumed.snapshotDiagnostic.empty()) {
                     std::printf("  damage:%-14s ok (%s)\n", stage.what,
-                                stage.expectFallback ? "fell back to .prev"
-                                                     : "cold start");
+                                outcome);
                 } else {
                     std::printf("  damage:%-14s FAILED (resumed=%d "
                                 "fallback=%d diagnostic='%s')\n",

@@ -6,6 +6,7 @@
 #include "sim/charge_transfer.hh"
 #include "sim/fault_injector.hh"
 #include "snapshot/snapshot.hh"
+#include "util/byte_codec.hh"
 #include "util/crc32.hh"
 #include "util/logging.hh"
 #include "util/units.hh"
@@ -394,33 +395,19 @@ ReactBuffer::persistFramRecord()
     framImage.assign(10, 0);
     framImage[0] = 1;
     framImage[1] = static_cast<uint8_t>(level);
-    for (int b = 0; b < 4; ++b)
-        framImage[static_cast<size_t>(2 + b)] =
-            static_cast<uint8_t>(retiredMask >> (8 * b));
-    const uint32_t crc = crc32(framImage.data(), 6);
-    for (int b = 0; b < 4; ++b)
-        framImage[static_cast<size_t>(6 + b)] =
-            static_cast<uint8_t>(crc >> (8 * b));
+    storeLe32(framImage.data() + 2, retiredMask);
+    storeLe32(framImage.data() + 6, crc32(framImage.data(), 6));
 }
 
 void
 ReactBuffer::restoreFramRecord()
 {
     bool valid = framImage.size() == 10 && framImage[0] == 1;
+    if (valid)
+        valid = loadLe32(framImage.data() + 6) ==
+            crc32(framImage.data(), 6);
     if (valid) {
-        uint32_t stored = 0;
-        for (int b = 0; b < 4; ++b)
-            stored |= static_cast<uint32_t>(framImage[static_cast<size_t>(
-                          6 + b)])
-                << (8 * b);
-        valid = stored == crc32(framImage.data(), 6);
-    }
-    if (valid) {
-        uint32_t mask = 0;
-        for (int b = 0; b < 4; ++b)
-            mask |= static_cast<uint32_t>(
-                        framImage[static_cast<size_t>(2 + b)])
-                << (8 * b);
+        const uint32_t mask = loadLe32(framImage.data() + 2);
         const int lv = framImage[1];
         const uint32_t mask_limit = bankCount() >= 32
             ? 0xffffffffu

@@ -8,6 +8,7 @@
 
 #include "harness/paper_setup.hh"
 #include "snapshot/snapshot.hh"
+#include "util/byte_codec.hh"
 #include "util/crc32.hh"
 #include "util/logging.hh"
 
@@ -33,6 +34,52 @@ ExperimentResult::workLostVersus(const ExperimentResult &fault_free) const
     return fault_free.workUnits > workUnits
         ? fault_free.workUnits - workUnits
         : 0;
+}
+
+void
+ExperimentResult::encodeMetrics(ByteWriter &w) const
+{
+    w.str(bufferName);
+    w.str(benchmarkName);
+    w.str(traceName);
+    w.f64(latency);
+    w.f64(onTime);
+    w.f64(totalTime);
+    w.u64(steps);
+    w.u64(powerCycles);
+    w.u64(workUnits);
+    w.u64(packetsRx);
+    w.u64(packetsTx);
+    w.u64(failedOps);
+    w.u64(missedEvents);
+    ledger.save(w);
+    w.f64(residualEnergy);
+    w.f64(conservationError);
+    w.u64(faultEvents);
+    w.u64(recoveryEvents);
+}
+
+void
+ExperimentResult::decodeMetrics(ByteReader &r)
+{
+    bufferName = r.str();
+    benchmarkName = r.str();
+    traceName = r.str();
+    latency = r.f64();
+    onTime = r.f64();
+    totalTime = r.f64();
+    steps = r.u64();
+    powerCycles = r.u64();
+    workUnits = r.u64();
+    packetsRx = r.u64();
+    packetsTx = r.u64();
+    failedOps = r.u64();
+    missedEvents = r.u64();
+    ledger.restore(r);
+    residualEnergy = r.f64();
+    conservationError = r.f64();
+    faultEvents = r.u64();
+    recoveryEvents = r.u64();
 }
 
 namespace {
@@ -71,24 +118,7 @@ restoreRail(snapshot::SnapshotReader &r, std::vector<RailSample> *rail)
 void
 saveResult(snapshot::SnapshotWriter &w, const ExperimentResult &res)
 {
-    w.str(res.bufferName);
-    w.str(res.benchmarkName);
-    w.str(res.traceName);
-    w.f64(res.latency);
-    w.f64(res.onTime);
-    w.f64(res.totalTime);
-    w.u64(res.steps);
-    w.u64(res.powerCycles);
-    w.u64(res.workUnits);
-    w.u64(res.packetsRx);
-    w.u64(res.packetsTx);
-    w.u64(res.failedOps);
-    w.u64(res.missedEvents);
-    res.ledger.save(w);
-    w.f64(res.residualEnergy);
-    w.f64(res.conservationError);
-    w.u64(res.faultEvents);
-    w.u64(res.recoveryEvents);
+    res.encodeMetrics(w);
     w.u32(static_cast<uint32_t>(res.banksRetired));
     w.u32(static_cast<uint32_t>(res.framRecoveries));
     w.u32(static_cast<uint32_t>(res.faultLog.size()));
@@ -106,24 +136,7 @@ saveResult(snapshot::SnapshotWriter &w, const ExperimentResult &res)
 void
 restoreResult(snapshot::SnapshotReader &r, ExperimentResult *res)
 {
-    res->bufferName = r.str();
-    res->benchmarkName = r.str();
-    res->traceName = r.str();
-    res->latency = r.f64();
-    res->onTime = r.f64();
-    res->totalTime = r.f64();
-    res->steps = r.u64();
-    res->powerCycles = r.u64();
-    res->workUnits = r.u64();
-    res->packetsRx = r.u64();
-    res->packetsTx = r.u64();
-    res->failedOps = r.u64();
-    res->missedEvents = r.u64();
-    res->ledger.restore(r);
-    res->residualEnergy = r.f64();
-    res->conservationError = r.f64();
-    res->faultEvents = r.u64();
-    res->recoveryEvents = r.u64();
+    res->decodeMetrics(r);
     res->banksRetired = static_cast<int>(r.u32());
     res->framRecoveries = static_cast<int>(r.u32());
     // No reserve() from a stored count: under a stale layout it is a

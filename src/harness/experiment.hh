@@ -27,6 +27,8 @@
 #include "workload/benchmark.hh"
 
 namespace react {
+class ByteWriter;
+class ByteReader;
 namespace harness {
 
 /** Runner options. */
@@ -185,6 +187,15 @@ struct ExperimentResult
      */
     uint32_t stateDigest = 0;
     /** @} */
+
+    /**
+     * Encode / decode the fields every result format carries, in order:
+     * the three names through recoveryEvents, the ledger included.  The
+     * snapshot "result" section (experiment.cc) and the RNET result
+     * payload (net/protocol.cc) each append only their own tail.
+     */
+    void encodeMetrics(ByteWriter &w) const;
+    void decodeMetrics(ByteReader &r);
 };
 
 /**

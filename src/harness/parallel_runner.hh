@@ -75,10 +75,11 @@ enum class SignalPolicy
      */
     ExitAfterDrain,
     /**
-     * For embedding (reactd): no handlers are installed and run()
-     * simply returns after the drain; the host consults interrupted()
-     * and decides what to do.  The host raises the stop flag itself
-     * via requestStop().
+     * For a host that owns its own signal handling (today only the
+     * tests; reactd runs its own worker pool, not a runner): no
+     * handlers are installed and run() simply returns after the drain;
+     * the host consults interrupted() and decides what to do.  The host
+     * raises the stop flag itself via requestStop().
      */
     External,
 };

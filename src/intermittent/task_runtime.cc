@@ -1,6 +1,7 @@
 #include "task_runtime.hh"
 
 #include "snapshot/snapshot.hh"
+#include "util/byte_codec.hh"
 #include "util/logging.hh"
 
 namespace react {
@@ -51,11 +52,7 @@ TaskContext::readU64(const std::string &name, uint64_t fallback) const
     const auto bytes = readBytes(name);
     if (bytes.size() != 8)
         return fallback;
-    uint64_t value = 0;
-    for (int i = 0; i < 8; ++i)
-        value |= static_cast<uint64_t>(bytes[static_cast<size_t>(i)])
-            << (8 * i);
-    return value;
+    return loadLe64(bytes.data());
 }
 
 void
@@ -70,9 +67,7 @@ void
 TaskContext::writeU64(const std::string &name, uint64_t value)
 {
     std::vector<uint8_t> bytes(8);
-    for (int i = 0; i < 8; ++i)
-        bytes[static_cast<size_t>(i)] =
-            static_cast<uint8_t>(value >> (8 * i));
+    storeLe64(bytes.data(), value);
     writeBytes(name, std::move(bytes));
 }
 

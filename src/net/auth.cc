@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "util/byte_codec.hh"
 #include "util/env.hh"
 
 namespace react {
@@ -41,12 +42,8 @@ AuthNonce
 NonceSource::next()
 {
     AuthNonce nonce;
-    for (size_t word = 0; word < nonce.size() / 8; ++word) {
-        const uint64_t draw = rng_.next();
-        for (size_t byte = 0; byte < 8; ++byte)
-            nonce[word * 8 + byte] =
-                static_cast<uint8_t>(draw >> (8 * byte));
-    }
+    for (size_t word = 0; word < nonce.size() / 8; ++word)
+        storeLe64(nonce.data() + word * 8, rng_.next());
     return nonce;
 }
 

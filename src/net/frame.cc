@@ -7,26 +7,6 @@
 namespace react {
 namespace net {
 
-namespace {
-
-uint32_t
-readLe32(const uint8_t *p)
-{
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-void
-writeLe32(uint8_t *p, uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        p[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-
-} // namespace
-
 std::vector<uint8_t>
 encodeFrame(uint8_t type, const std::vector<uint8_t> &payload)
 {
@@ -36,15 +16,15 @@ encodeFrame(uint8_t type, const std::vector<uint8_t> &payload)
                             " bytes exceeds kMaxPayload");
     std::vector<uint8_t> frame(kFrameHeaderSize + payload.size() +
                                kFrameTrailerSize);
-    writeLe32(frame.data(), kFrameMagic);
+    storeLe32(frame.data(), kFrameMagic);
     frame[4] = type;
-    writeLe32(frame.data() + 5, static_cast<uint32_t>(payload.size()));
+    storeLe32(frame.data() + 5, static_cast<uint32_t>(payload.size()));
     if (!payload.empty())
         std::memcpy(frame.data() + kFrameHeaderSize, payload.data(),
                     payload.size());
     const uint32_t crc =
         crc32(frame.data(), kFrameHeaderSize + payload.size());
-    writeLe32(frame.data() + kFrameHeaderSize + payload.size(), crc);
+    storeLe32(frame.data() + kFrameHeaderSize + payload.size(), crc);
     return frame;
 }
 
@@ -64,14 +44,14 @@ FrameDecoder::validatePrefix()
     // reported at the earliest provable byte rather than after a full
     // (attacker-declared) payload has been awaited.
     if (buffer.size() >= 4) {
-        const uint32_t magic = readLe32(buffer.data());
+        const uint32_t magic = loadLe32(buffer.data());
         if (magic != kFrameMagic) {
             poisoned = true;
             throw ProtocolError("bad frame magic");
         }
     }
     if (buffer.size() >= kFrameHeaderSize) {
-        const uint32_t length = readLe32(buffer.data() + 5);
+        const uint32_t length = loadLe32(buffer.data() + 5);
         if (length > kMaxPayload) {
             poisoned = true;
             throw ProtocolError("declared payload of " +
@@ -88,12 +68,12 @@ FrameDecoder::next(Frame *out)
         throw ProtocolError("decoder poisoned by earlier malformed input");
     if (buffer.size() < kFrameHeaderSize)
         return false;
-    const uint32_t length = readLe32(buffer.data() + 5);
+    const uint32_t length = loadLe32(buffer.data() + 5);
     const size_t total = kFrameHeaderSize + length + kFrameTrailerSize;
     if (buffer.size() < total)
         return false;
 
-    const uint32_t stored = readLe32(buffer.data() + kFrameHeaderSize +
+    const uint32_t stored = loadLe32(buffer.data() + kFrameHeaderSize +
                                      length);
     const uint32_t actual = crc32(buffer.data(), kFrameHeaderSize + length);
     if (stored != actual) {

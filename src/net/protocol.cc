@@ -136,31 +136,7 @@ JobSpec::toConfig() const
 void
 encodeResult(WireWriter &w, const harness::ExperimentResult &res)
 {
-    w.str(res.bufferName);
-    w.str(res.benchmarkName);
-    w.str(res.traceName);
-    w.f64(res.latency);
-    w.f64(res.onTime);
-    w.f64(res.totalTime);
-    w.u64(res.steps);
-    w.u64(res.powerCycles);
-    w.u64(res.workUnits);
-    w.u64(res.packetsRx);
-    w.u64(res.packetsTx);
-    w.u64(res.failedOps);
-    w.u64(res.missedEvents);
-    w.f64(res.ledger.harvested.raw());
-    w.f64(res.ledger.delivered.raw());
-    w.f64(res.ledger.clipped.raw());
-    w.f64(res.ledger.leaked.raw());
-    w.f64(res.ledger.switchLoss.raw());
-    w.f64(res.ledger.diodeLoss.raw());
-    w.f64(res.ledger.overhead.raw());
-    w.f64(res.ledger.faultLoss.raw());
-    w.f64(res.residualEnergy);
-    w.f64(res.conservationError);
-    w.u64(res.faultEvents);
-    w.u64(res.recoveryEvents);
+    res.encodeMetrics(w);
     w.i64(res.banksRetired);
     w.i64(res.framRecoveries);
     w.b(res.halted);
@@ -171,31 +147,7 @@ harness::ExperimentResult
 decodeResult(WireReader &r)
 {
     harness::ExperimentResult res;
-    res.bufferName = r.str();
-    res.benchmarkName = r.str();
-    res.traceName = r.str();
-    res.latency = r.f64();
-    res.onTime = r.f64();
-    res.totalTime = r.f64();
-    res.steps = r.u64();
-    res.powerCycles = r.u64();
-    res.workUnits = r.u64();
-    res.packetsRx = r.u64();
-    res.packetsTx = r.u64();
-    res.failedOps = r.u64();
-    res.missedEvents = r.u64();
-    res.ledger.harvested = units::Joules(r.f64());
-    res.ledger.delivered = units::Joules(r.f64());
-    res.ledger.clipped = units::Joules(r.f64());
-    res.ledger.leaked = units::Joules(r.f64());
-    res.ledger.switchLoss = units::Joules(r.f64());
-    res.ledger.diodeLoss = units::Joules(r.f64());
-    res.ledger.overhead = units::Joules(r.f64());
-    res.ledger.faultLoss = units::Joules(r.f64());
-    res.residualEnergy = r.f64();
-    res.conservationError = r.f64();
-    res.faultEvents = r.u64();
-    res.recoveryEvents = r.u64();
+    res.decodeMetrics(r);
     res.banksRetired = static_cast<int>(r.i64());
     res.framRecoveries = static_cast<int>(r.i64());
     res.halted = r.b();

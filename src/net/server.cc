@@ -77,9 +77,6 @@ ServerConfig
 ServerConfig::fromEnv()
 {
     ServerConfig config;
-    if (const auto v = env::stringVar("REACTD_SOCKET"))
-        config.endpoint = *v;
-    // REACTD_ENDPOINT wins over the legacy unix-path spelling.
     if (const auto v = env::stringVar("REACTD_ENDPOINT"))
         config.endpoint = *v;
     if (const auto v = env::intVar("REACTD_THREADS", 1, 1 << 16))

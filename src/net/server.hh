@@ -77,8 +77,8 @@ struct ServerConfig
     uint64_t authNonceSeed = 0x6f6e6365u;
 
     /**
-     * Environment defaults: REACTD_ENDPOINT (REACTD_SOCKET is the
-     * legacy unix-path spelling), REACTD_THREADS, REACTD_CHECKPOINT_DIR,
+     * Environment defaults: REACTD_ENDPOINT (a URI, or a bare path for
+     * an AF_UNIX socket), REACTD_THREADS, REACTD_CHECKPOINT_DIR,
      * REACTD_CHECKPOINT_INTERVAL, REACTD_IDLE_TIMEOUT_MS,
      * REACTD_OUTBUF_MAX, REACTD_AUTH_SEED, REACT_FLEET_KEY[_FILE] --
      * all parsed through util/env.hh (a malformed value warns and keeps

@@ -1,111 +1,31 @@
 /**
  * @file
- * Bounds-checked primitive codec for protocol message payloads.
+ * Protocol payload codec: the shared byte codec (util/byte_codec.hh)
+ * under the names the serving layer uses.
  *
  * Frames (net/frame.hh) guarantee integrity -- a payload that reaches a
- * WireReader has already passed its CRC.  The wire layer guarantees
- * *shape*: every decode is bounds-checked against the payload, variable-
- * length fields declare their size up front and are validated against
- * the bytes actually present before anything is allocated, and a parser
- * that walks off the end throws ProtocolError instead of over-reading.
- * Together the two layers give the strict-parser property the snapshot
- * loader already has: damaged or malicious input degrades to a clean,
- * catchable error, never UB.
- *
- * Encoding: little-endian integers; doubles as their IEEE-754 bit
- * pattern (bit-exact round trip, same contract as snapshot f64);
- * strings and byte blobs as u32 length + raw bytes.
+ * WireReader has already passed its CRC.  The codec guarantees *shape*:
+ * every decode is bounds-checked against the payload, variable-length
+ * fields are validated against the bytes actually present before
+ * anything is allocated, and a parser that walks off the end throws
+ * ProtocolError instead of over-reading.  RNET payloads use the codec
+ * exactly as defined there (u32 blob lengths); RSNP snapshot sections
+ * differ only in their u64 blob length.
  */
 
 #ifndef REACT_NET_WIRE_HH
 #define REACT_NET_WIRE_HH
 
-#include <cstdint>
-#include <stdexcept>
-#include <string>
-#include <vector>
+#include "util/byte_codec.hh"
 
 namespace react {
 namespace net {
 
 /** Raised on any malformed protocol input (framing or payload shape).
  *  Always catchable: a bad peer costs a connection, never the server. */
-class ProtocolError : public std::runtime_error
-{
-  public:
-    explicit ProtocolError(const std::string &what_arg)
-        : std::runtime_error(what_arg)
-    {
-    }
-};
-
-/** Appends primitives to a byte buffer. */
-class WireWriter
-{
-  public:
-    WireWriter() = default;
-
-    void u8(uint8_t v);
-    void b(bool v) { u8(v ? 1 : 0); }
-    void u32(uint32_t v);
-    void u64(uint64_t v);
-    void i64(int64_t v);
-    /** Stored as the IEEE-754 bit pattern: bit-exact round trip. */
-    void f64(double v);
-    /** u32 length prefix + raw bytes. */
-    void str(const std::string &v);
-    void bytes(const std::vector<uint8_t> &v);
-
-    const std::vector<uint8_t> &data() const { return out; }
-    std::vector<uint8_t> take() { return std::move(out); }
-
-  private:
-    void put(const void *data_ptr, size_t size);
-
-    std::vector<uint8_t> out;
-};
-
-/**
- * Reads primitives back out of a payload view.  The reader does not own
- * the bytes; the payload must outlive it.  Every read throws
- * ProtocolError on overrun, and variable-length reads validate the
- * declared length against remaining() before allocating -- a length-lie
- * can never cause an allocation larger than the payload itself.
- */
-class WireReader
-{
-  public:
-    WireReader(const uint8_t *data_ptr, size_t size)
-        : base(data_ptr), end(size)
-    {
-    }
-    explicit WireReader(const std::vector<uint8_t> &payload)
-        : WireReader(payload.data(), payload.size())
-    {
-    }
-
-    uint8_t u8();
-    bool b() { return u8() != 0; }
-    uint32_t u32();
-    uint64_t u64();
-    int64_t i64();
-    double f64();
-    std::string str();
-    std::vector<uint8_t> bytes();
-
-    /** Bytes not yet consumed. */
-    size_t remaining() const { return end - cursor; }
-
-    /** Throw unless the payload was consumed exactly. */
-    void expectEnd() const;
-
-  private:
-    void take(void *out_ptr, size_t size);
-
-    const uint8_t *base;
-    size_t end;
-    size_t cursor = 0;
-};
+using ProtocolError = DecodeError;
+using WireWriter = ByteWriter;
+using WireReader = ByteReader;
 
 } // namespace net
 } // namespace react

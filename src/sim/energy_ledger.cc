@@ -1,6 +1,6 @@
 #include "energy_ledger.hh"
 
-#include "snapshot/snapshot.hh"
+#include "util/byte_codec.hh"
 
 namespace react {
 namespace sim {
@@ -51,7 +51,7 @@ operator+(EnergyLedger lhs, const EnergyLedger &rhs)
 }
 
 void
-EnergyLedger::save(snapshot::SnapshotWriter &w) const
+EnergyLedger::save(ByteWriter &w) const
 {
     w.f64(harvested.raw());
     w.f64(delivered.raw());
@@ -64,7 +64,7 @@ EnergyLedger::save(snapshot::SnapshotWriter &w) const
 }
 
 void
-EnergyLedger::restore(snapshot::SnapshotReader &r)
+EnergyLedger::restore(ByteReader &r)
 {
     harvested = Joules(r.f64());
     delivered = Joules(r.f64());

@@ -16,10 +16,8 @@
 #include "util/units.hh"
 
 namespace react {
-namespace snapshot {
-class SnapshotWriter;
-class SnapshotReader;
-}
+class ByteWriter;
+class ByteReader;
 namespace sim {
 
 using units::Joules;
@@ -69,9 +67,10 @@ struct EnergyLedger
     /** Accumulate another ledger into this one. */
     EnergyLedger &operator+=(const EnergyLedger &other);
 
-    /** Serialize every flow, bit-exact. */
-    void save(snapshot::SnapshotWriter &w) const;
-    void restore(snapshot::SnapshotReader &r);
+    /** Serialize every flow, bit-exact (in snapshots and in RNET
+     *  results alike). */
+    void save(ByteWriter &w) const;
+    void restore(ByteReader &r);
 };
 
 EnergyLedger operator+(EnergyLedger lhs, const EnergyLedger &rhs);

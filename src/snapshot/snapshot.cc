@@ -1,7 +1,6 @@
 #include "snapshot.hh"
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 
 #include "util/crc32.hh"
@@ -13,45 +12,10 @@ namespace snapshot {
 
 namespace {
 
-/** Little-endian u32 at a raw position (no bounds check). */
-void
-storeU32(uint8_t *at, uint32_t v)
-{
-    at[0] = static_cast<uint8_t>(v & 0xffu);
-    at[1] = static_cast<uint8_t>((v >> 8) & 0xffu);
-    at[2] = static_cast<uint8_t>((v >> 16) & 0xffu);
-    at[3] = static_cast<uint8_t>((v >> 24) & 0xffu);
-}
-
-void
-storeU64(uint8_t *at, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        at[i] = static_cast<uint8_t>((v >> (8 * i)) & 0xffu);
-}
-
-uint32_t
-fetchU32(const uint8_t *at)
-{
-    return static_cast<uint32_t>(at[0]) |
-        (static_cast<uint32_t>(at[1]) << 8) |
-        (static_cast<uint32_t>(at[2]) << 16) |
-        (static_cast<uint32_t>(at[3]) << 24);
-}
-
-uint64_t
-fetchU64(const uint8_t *at)
-{
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<uint64_t>(at[i]) << (8 * i);
-    return v;
-}
-
 /**
  * Shared framing walk: parse the header and every section of an image,
- * checking bounds and CRCs.  On success fills @p out_sections (section
- * name + payload range, in file order) when non-null.
+ * checking bounds and CRCs, handing each section (name + payload range,
+ * in file order) to @p sink.
  *
  * @return Empty string on success, else a diagnostic.
  */
@@ -62,16 +26,16 @@ walkImage(const std::vector<uint8_t> &image, SectionSink &&sink)
     char msg[160];
     if (image.size() < 12)
         return "snapshot shorter than its 12-byte header";
-    if (fetchU32(image.data()) != kMagic)
+    if (loadLe32(image.data()) != kMagic)
         return "bad snapshot magic (not a snapshot file?)";
-    const uint32_t version = fetchU32(image.data() + 4);
+    const uint32_t version = loadLe32(image.data() + 4);
     if (version != kFormatVersion) {
         std::snprintf(msg, sizeof(msg),
                       "unsupported snapshot format version %u (want %u)",
                       version, kFormatVersion);
         return msg;
     }
-    const uint32_t declared = fetchU32(image.data() + 8);
+    const uint32_t declared = loadLe32(image.data() + 8);
     size_t pos = 12;
     size_t index = 0;
     while (pos < image.size()) {
@@ -98,7 +62,7 @@ walkImage(const std::vector<uint8_t> &image, SectionSink &&sink)
                           index, name.c_str());
             return msg;
         }
-        const uint64_t payload_len = fetchU64(image.data() + pos);
+        const uint64_t payload_len = loadLe64(image.data() + pos);
         pos += 8;
         if (payload_len > image.size() ||
             pos + payload_len + 4 > image.size()) {
@@ -111,7 +75,7 @@ walkImage(const std::vector<uint8_t> &image, SectionSink &&sink)
         }
         const size_t payload_start = pos;
         pos += static_cast<size_t>(payload_len);
-        const uint32_t stored_crc = fetchU32(image.data() + pos);
+        const uint32_t stored_crc = loadLe32(image.data() + pos);
         pos += 4;
         // The CRC spans the whole section record (name framing included,
         // CRC itself excluded): a flipped name byte is damage too.
@@ -141,19 +105,11 @@ walkImage(const std::vector<uint8_t> &image, SectionSink &&sink)
 
 SnapshotWriter::SnapshotWriter()
 {
-    image.reserve(256);
-    uint8_t header[12];
-    storeU32(header, kMagic);
-    storeU32(header + 4, kFormatVersion);
-    storeU32(header + 8, 0);  // section count, patched by finish()
-    image.insert(image.end(), header, header + 12);
-}
-
-void
-SnapshotWriter::put(const void *data, size_t size)
-{
-    const uint8_t *p = static_cast<const uint8_t *>(data);
-    image.insert(image.end(), p, p + size);
+    out.reserve(256);
+    u32(kMagic);
+    u32(kFormatVersion);
+    u32(0);  // section count, patched by finish()
+    sealed = out.size();
 }
 
 void
@@ -161,15 +117,14 @@ SnapshotWriter::beginSection(const std::string &name)
 {
     react_assert(lengthPos == SIZE_MAX,
                  "snapshot sections cannot nest (endSection missing)");
+    react_assert(out.size() == sealed,
+                 "snapshot primitives need an open section");
     react_assert(!name.empty() && name.size() <= 255,
                  "snapshot section name must be 1..255 bytes");
-    sectionPos = image.size();
-    image.push_back(static_cast<uint8_t>(name.size()));
+    u8(static_cast<uint8_t>(name.size()));
     put(name.data(), name.size());
-    lengthPos = image.size();
-    const uint8_t zeros[8] = {};
-    put(zeros, 8);
-    payloadPos = image.size();
+    lengthPos = out.size();
+    u64(0);  // payload length, patched by endSection()
 }
 
 void
@@ -177,85 +132,20 @@ SnapshotWriter::endSection()
 {
     react_assert(lengthPos != SIZE_MAX,
                  "endSection without a matching beginSection");
-    const size_t payload_len = image.size() - payloadPos;
-    storeU64(image.data() + lengthPos,
-             static_cast<uint64_t>(payload_len));
+    const size_t payload_len = out.size() - (lengthPos + 8);
+    storeLe64(out.data() + lengthPos, static_cast<uint64_t>(payload_len));
     // CRC over the whole section record so the name framing is guarded
     // too, matching walkImage().
-    const uint32_t crc =
-        crc32(image.data() + sectionPos, image.size() - sectionPos);
-    uint8_t crc_bytes[4];
-    storeU32(crc_bytes, crc);
-    put(crc_bytes, 4);
+    u32(crc32(out.data() + sealed, out.size() - sealed));
     lengthPos = SIZE_MAX;
+    sealed = out.size();
     ++sectionCount;
-}
-
-void
-SnapshotWriter::u8(uint8_t v)
-{
-    react_assert(lengthPos != SIZE_MAX,
-                 "snapshot primitives need an open section");
-    image.push_back(v);
-}
-
-void
-SnapshotWriter::b(bool v)
-{
-    u8(v ? 1 : 0);
-}
-
-void
-SnapshotWriter::u32(uint32_t v)
-{
-    uint8_t enc[4];
-    storeU32(enc, v);
-    react_assert(lengthPos != SIZE_MAX,
-                 "snapshot primitives need an open section");
-    put(enc, 4);
-}
-
-void
-SnapshotWriter::u64(uint64_t v)
-{
-    uint8_t enc[8];
-    storeU64(enc, v);
-    react_assert(lengthPos != SIZE_MAX,
-                 "snapshot primitives need an open section");
-    put(enc, 8);
-}
-
-void
-SnapshotWriter::i64(int64_t v)
-{
-    uint64_t enc;
-    std::memcpy(&enc, &v, sizeof(enc));
-    u64(enc);
-}
-
-void
-SnapshotWriter::f64(double v)
-{
-    uint64_t enc;
-    std::memcpy(&enc, &v, sizeof(enc));
-    u64(enc);
-}
-
-void
-SnapshotWriter::str(const std::string &v)
-{
-    u32(static_cast<uint32_t>(v.size()));
-    react_assert(lengthPos != SIZE_MAX,
-                 "snapshot primitives need an open section");
-    put(v.data(), v.size());
 }
 
 void
 SnapshotWriter::bytes(const std::vector<uint8_t> &v)
 {
     u64(static_cast<uint64_t>(v.size()));
-    react_assert(lengthPos != SIZE_MAX,
-                 "snapshot primitives need an open section");
     put(v.data(), v.size());
 }
 
@@ -264,12 +154,14 @@ SnapshotWriter::finish()
 {
     react_assert(lengthPos == SIZE_MAX,
                  "finish() with an open section (endSection missing)");
-    storeU32(image.data() + 8, sectionCount);
-    return std::move(image);
+    react_assert(out.size() == sealed,
+                 "snapshot primitives need an open section");
+    storeLe32(out.data() + 8, sectionCount);
+    return take();
 }
 
 SnapshotReader::SnapshotReader(std::vector<uint8_t> image_bytes)
-    : image(std::move(image_bytes))
+    : ByteReader(nullptr, 0), image(std::move(image_bytes))
 {
     const std::string err = walkImage(
         image, [this](const std::string &name, size_t start, size_t size) {
@@ -282,7 +174,7 @@ SnapshotReader::SnapshotReader(std::vector<uint8_t> image_bytes)
 void
 SnapshotReader::beginSection(const std::string &name)
 {
-    if (cursor != SIZE_MAX)
+    if (sectionOpen)
         throw SnapshotError("beginSection('" + name +
                             "') with a section still open");
     if (nextSection >= sections.size())
@@ -291,106 +183,29 @@ SnapshotReader::beginSection(const std::string &name)
     if (s.name != name)
         throw SnapshotError("snapshot section order mismatch: expected '" +
                             name + "', found '" + s.name + "'");
-    cursor = s.payloadStart;
-    payloadEnd = s.payloadStart + s.payloadSize;
+    view(image.data() + s.payloadStart, s.payloadSize);
+    sectionOpen = true;
     ++nextSection;
 }
 
 void
 SnapshotReader::endSection()
 {
-    if (cursor == SIZE_MAX)
+    if (!sectionOpen)
         throw SnapshotError("endSection without an open section");
-    if (cursor != payloadEnd)
+    if (remaining() != 0)
         throw SnapshotError("snapshot section '" +
                             sections[nextSection - 1].name +
                             "' not fully consumed (layout mismatch)");
-    cursor = SIZE_MAX;
-}
-
-void
-SnapshotReader::take(void *out, size_t size)
-{
-    if (cursor == SIZE_MAX)
-        throw SnapshotError("snapshot read outside any section");
-    if (cursor + size > payloadEnd)
-        throw SnapshotError("snapshot section '" +
-                            sections[nextSection - 1].name +
-                            "' read past its end (layout mismatch)");
-    std::memcpy(out, image.data() + cursor, size);
-    cursor += size;
-}
-
-uint8_t
-SnapshotReader::u8()
-{
-    uint8_t v;
-    take(&v, 1);
-    return v;
-}
-
-bool
-SnapshotReader::b()
-{
-    return u8() != 0;
-}
-
-uint32_t
-SnapshotReader::u32()
-{
-    uint8_t enc[4];
-    take(enc, 4);
-    return fetchU32(enc);
-}
-
-uint64_t
-SnapshotReader::u64()
-{
-    uint8_t enc[8];
-    take(enc, 8);
-    return fetchU64(enc);
-}
-
-int64_t
-SnapshotReader::i64()
-{
-    const uint64_t enc = u64();
-    int64_t v;
-    std::memcpy(&v, &enc, sizeof(v));
-    return v;
-}
-
-double
-SnapshotReader::f64()
-{
-    const uint64_t enc = u64();
-    double v;
-    std::memcpy(&v, &enc, sizeof(v));
-    return v;
-}
-
-std::string
-SnapshotReader::str()
-{
-    const uint32_t n = u32();
-    if (cursor + n > payloadEnd)
-        throw SnapshotError("snapshot string overruns its section");
-    std::string v(n, '\0');
-    if (n > 0)
-        take(v.data(), n);
-    return v;
+    // Reads between sections now see an empty view and throw.
+    view(nullptr, 0);
+    sectionOpen = false;
 }
 
 std::vector<uint8_t>
 SnapshotReader::bytes()
 {
-    const uint64_t n = u64();
-    if (cursor == SIZE_MAX || cursor + n > payloadEnd)
-        throw SnapshotError("snapshot byte array overruns its section");
-    std::vector<uint8_t> v(static_cast<size_t>(n));
-    if (n > 0)
-        take(v.data(), static_cast<size_t>(n));
-    return v;
+    return blob(u64());
 }
 
 bool

@@ -13,7 +13,9 @@
  *
  * ## Wire format
  *
- * A snapshot is a header followed by a sequence of named sections:
+ * Sections are framing on top of the repository's one byte codec
+ * (util/byte_codec.hh); a component's save()/restore() writes and reads
+ * codec primitives inside an open section:
  *
  *     header : u32 magic "RSNP" (0x52534e50, little-endian)
  *              u32 format version (kFormatVersion)
@@ -21,17 +23,21 @@
  *     section: u8  name length
  *              ... name bytes
  *              u64 payload length (little-endian)
- *              ... payload
+ *              ... payload (codec primitives)
  *              u32 CRC-32 of the section record above (name length,
  *                  name, payload length, payload; little-endian)
  *
- * All integers are little-endian; doubles are stored as their IEEE-754
- * bit pattern (bit-exact round trip).  Each section's CRC covers its
- * entire record -- a flipped byte anywhere but the header is a CRC
- * mismatch -- and the header's section count makes a file truncated at
- * a clean section boundary detectable too.  SnapshotReader validates
- * the whole image in its constructor and throws SnapshotError on any
- * damage, before any component sees a byte of it.
+ * Payload primitives are encoded exactly as in an RNET payload, with
+ * one difference: a byte blob's length prefix is a u64 here (u32 on the
+ * wire) -- SnapshotWriter/SnapshotReader override bytes() for it and
+ * nothing else.  Each section's CRC covers its entire record -- a
+ * flipped byte anywhere but the header is a CRC mismatch -- and the
+ * header's section count makes a file truncated at a clean section
+ * boundary detectable too.  SnapshotReader validates the whole image in
+ * its constructor and throws SnapshotError on any damage, before any
+ * component sees a byte of it; a CRC-valid section whose fields do not
+ * parse (a stale layout, a length-lie) throws the same type from the
+ * codec's bounds checks.
  *
  * ## Atomic file protocol
  *
@@ -49,9 +55,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "util/byte_codec.hh"
 
 namespace react {
 
@@ -66,59 +73,44 @@ constexpr uint32_t kFormatVersion = 1;
 
 /** Raised on any validation failure (bad magic, wrong version, CRC
  *  mismatch, truncation, section-order or read-size mismatch).  Always
- *  catchable: a damaged snapshot degrades to a cold start, never UB. */
-class SnapshotError : public std::runtime_error
-{
-  public:
-    explicit SnapshotError(const std::string &what_arg)
-        : std::runtime_error(what_arg)
-    {
-    }
-};
+ *  catchable: a damaged snapshot degrades to a cold start, never UB.
+ *  The codec's one decode-error type (util/byte_codec.hh). */
+using SnapshotError = DecodeError;
 
-/** Serializes primitives into named, CRC-framed sections. */
-class SnapshotWriter
+/** Writes codec primitives into named, CRC-framed sections. */
+class SnapshotWriter : public ByteWriter
 {
   public:
     SnapshotWriter();
 
-    /** Open a section.  Sections cannot nest (programmer error). */
+    /** Open a section.  Sections cannot nest, and primitives written
+     *  outside a section are caught here or in finish() (programmer
+     *  errors). */
     void beginSection(const std::string &name);
 
     /** Close the open section: patches its length, appends its CRC. */
     void endSection();
 
-    /** @name Primitive encoders (valid only inside an open section). @{ */
-    void u8(uint8_t v);
-    void b(bool v);
-    void u32(uint32_t v);
-    void u64(uint64_t v);
-    void i64(int64_t v);
-    /** Stored as the IEEE-754 bit pattern: bit-exact round trip. */
-    void f64(double v);
-    void str(const std::string &v);
-    void bytes(const std::vector<uint8_t> &v);
-    /** @} */
+    /** u64 length prefix + raw bytes. */
+    void bytes(const std::vector<uint8_t> &v) override;
 
     /** Finish the snapshot and take the image (writer is spent). */
     std::vector<uint8_t> finish();
 
   private:
-    void put(const void *data, size_t size);
-
-    std::vector<uint8_t> image;
-    /** Offset of the open section's length field; npos when closed. */
+    /** Offset of the open section's length field; SIZE_MAX when none
+     *  is open. */
     size_t lengthPos = SIZE_MAX;
-    /** Offset of the open section's first payload byte. */
-    size_t payloadPos = 0;
-    /** Offset of the open section's name-length byte (CRC start). */
-    size_t sectionPos = 0;
+    /** End of the last closed section (or of the header): where the
+     *  next section record, and its CRC span, starts. */
+    size_t sealed = 0;
     /** Sections closed so far; patched into the header by finish(). */
     uint32_t sectionCount = 0;
 };
 
-/** Validates a snapshot image up front, then replays its sections. */
-class SnapshotReader
+/** Validates a snapshot image up front, then replays its sections; the
+ *  inherited codec reads see only the open section's payload. */
+class SnapshotReader : public ByteReader
 {
   public:
     /**
@@ -126,6 +118,9 @@ class SnapshotReader
      * framing, every section's CRC.  @throws SnapshotError on damage.
      */
     explicit SnapshotReader(std::vector<uint8_t> image_bytes);
+    /** Sections are views into the owned image. */
+    SnapshotReader(const SnapshotReader &) = delete;
+    SnapshotReader &operator=(const SnapshotReader &) = delete;
 
     /**
      * Open the next section; its name must match (sections are replayed
@@ -136,16 +131,8 @@ class SnapshotReader
     /** Close the section; throws unless every payload byte was read. */
     void endSection();
 
-    /** @name Primitive decoders (bounds-checked; throw on overrun). @{ */
-    uint8_t u8();
-    bool b();
-    uint32_t u32();
-    uint64_t u64();
-    int64_t i64();
-    double f64();
-    std::string str();
-    std::vector<uint8_t> bytes();
-    /** @} */
+    /** u64 length prefix + raw bytes. */
+    std::vector<uint8_t> bytes() override;
 
     /** Number of sections in the image. */
     size_t sectionCount() const { return sections.size(); }
@@ -158,16 +145,11 @@ class SnapshotReader
         size_t payloadSize = 0;
     };
 
-    void take(void *out, size_t size);
-
     std::vector<uint8_t> image;
     std::vector<Section> sections;
     /** Index of the next section beginSection() will open. */
     size_t nextSection = 0;
-    /** Read cursor / end of the open section; cursor == SIZE_MAX when
-     *  no section is open. */
-    size_t cursor = SIZE_MAX;
-    size_t payloadEnd = 0;
+    bool sectionOpen = false;
 };
 
 /** Serialize a full RNG stream (xoshiro words + the Box-Muller cached

@@ -20,6 +20,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -39,6 +40,8 @@
 #include "net/server.hh"
 #include "net/socket.hh"
 #include "net/wire.hh"
+#include "snapshot/snapshot.hh"
+#include "util/crc32.hh"
 #include "util/hmac.hh"
 
 namespace react {
@@ -46,67 +49,131 @@ namespace net {
 namespace {
 
 // ---------------------------------------------------------------------
-// Wire codec
+// Byte codec: one suite, both readers.  RNET payloads and snapshot
+// sections share util/byte_codec.hh and differ only in the width of a
+// blob's length prefix, so every shape-safety property is checked
+// against each.
 
-TEST(Wire, PrimitivesRoundTripBitExactly)
+enum class Codec
 {
-    WireWriter w;
-    w.u8(0xab);
-    w.b(true);
-    w.u32(0xdeadbeef);
-    w.u64(0x0123456789abcdefull);
-    w.i64(-42);
-    w.f64(0.1);
-    w.f64(-0.0);
-    w.str("hello \x01 world");
-    w.bytes({1, 2, 3});
+    RnetPayload,
+    SnapshotSection,
+};
 
-    WireReader r(w.data());
-    EXPECT_EQ(r.u8(), 0xab);
-    EXPECT_TRUE(r.b());
-    EXPECT_EQ(r.u32(), 0xdeadbeefu);
-    EXPECT_EQ(r.u64(), 0x0123456789abcdefull);
-    EXPECT_EQ(r.i64(), -42);
-    EXPECT_TRUE(r.f64() == 0.1);
-    const double neg_zero = r.f64();
+class ByteCodecParamTest : public ::testing::TestWithParam<Codec>
+{
+  protected:
+    /** Encode @p body as an RNET payload or as one snapshot section. */
+    template <typename Body>
+    std::vector<uint8_t> encode(Body body) const
+    {
+        if (GetParam() == Codec::RnetPayload) {
+            WireWriter w;
+            body(w);
+            return w.take();
+        }
+        snapshot::SnapshotWriter w;
+        w.beginSection("codec");
+        body(w);
+        w.endSection();
+        return w.finish();
+    }
+
+    /** A reader positioned at the first byte @p body wrote. */
+    std::unique_ptr<ByteReader> open(std::vector<uint8_t> bytes)
+    {
+        if (GetParam() == Codec::RnetPayload) {
+            payload = std::move(bytes);
+            return std::make_unique<WireReader>(payload);
+        }
+        auto r = std::make_unique<snapshot::SnapshotReader>(std::move(bytes));
+        r->beginSection("codec");
+        return r;
+    }
+
+    /** The largest blob length this codec's prefix can declare. */
+    void writeMaxBlobLength(ByteWriter &w) const
+    {
+        if (GetParam() == Codec::RnetPayload)
+            w.u32(UINT32_MAX);
+        else
+            w.u64(UINT64_MAX);
+    }
+
+  private:
+    std::vector<uint8_t> payload;
+};
+
+TEST_P(ByteCodecParamTest, PrimitivesRoundTripBitExactly)
+{
+    auto r = open(encode([](ByteWriter &w) {
+        w.u8(0xab);
+        w.b(true);
+        w.u32(0xdeadbeef);
+        w.u64(0x0123456789abcdefull);
+        w.i64(-42);
+        w.f64(0.1);
+        w.f64(-0.0);
+        w.str("hello \x01 world");
+        w.bytes({1, 2, 3});
+    }));
+    EXPECT_EQ(r->u8(), 0xab);
+    EXPECT_TRUE(r->b());
+    EXPECT_EQ(r->u32(), 0xdeadbeefu);
+    EXPECT_EQ(r->u64(), 0x0123456789abcdefull);
+    EXPECT_EQ(r->i64(), -42);
+    EXPECT_TRUE(r->f64() == 0.1);
+    const double neg_zero = r->f64();
     EXPECT_TRUE(neg_zero == 0.0 && std::signbit(neg_zero));
-    EXPECT_EQ(r.str(), "hello \x01 world");
-    EXPECT_EQ(r.bytes(), (std::vector<uint8_t>{1, 2, 3}));
-    EXPECT_NO_THROW(r.expectEnd());
+    EXPECT_EQ(r->str(), "hello \x01 world");
+    EXPECT_EQ(r->bytes(), (std::vector<uint8_t>{1, 2, 3}));
+    EXPECT_NO_THROW(r->expectEnd());
 }
 
-TEST(Wire, OverrunThrowsInsteadOfOverreading)
+TEST_P(ByteCodecParamTest, OverrunThrowsInsteadOfOverreading)
 {
-    WireWriter w;
-    w.u32(7);
-    WireReader r(w.data());
-    EXPECT_EQ(r.u32(), 7u);
-    EXPECT_THROW(r.u8(), ProtocolError);
+    auto r = open(encode([](ByteWriter &w) { w.u32(7); }));
+    EXPECT_EQ(r->u32(), 7u);
+    EXPECT_THROW(r->u8(), DecodeError);
 }
 
-TEST(Wire, LengthLieLargerThanPayloadThrowsBeforeAllocating)
+TEST_P(ByteCodecParamTest, LengthLieLargerThanPayloadThrowsBeforeAllocating)
 {
-    // A string declaring 4 GiB of content inside a 12-byte payload must
-    // be rejected by comparing against remaining(), not by allocating.
-    WireWriter w;
-    w.u32(0xfffffff0u);  // declared length
-    w.u64(0);            // 8 bytes of "content"
-    WireReader r(w.data());
-    EXPECT_THROW(r.str(), ProtocolError);
+    // A string or blob declaring ~4 GiB inside a 12-byte input must be
+    // rejected by comparing against remaining(), not by allocating.
+    const auto lie = encode([](ByteWriter &w) {
+        w.u32(0xfffffff0u);  // declared length
+        w.u64(0);            // 8 bytes of "content"
+    });
+    EXPECT_THROW(open(lie)->str(), DecodeError);
+    EXPECT_THROW(open(lie)->bytes(), DecodeError);
 
-    WireReader r2(w.data());
-    EXPECT_THROW(r2.bytes(), ProtocolError);
+    // The widest length the prefix can hold must not wrap the bounds
+    // check into a huge allocation (std::length_error / bad_alloc).
+    const auto wrap = encode([this](ByteWriter &w) {
+        writeMaxBlobLength(w);
+        w.u64(0);
+    });
+    EXPECT_THROW(open(wrap)->bytes(), DecodeError);
 }
 
-TEST(Wire, ExpectEndRejectsTrailingBytes)
+TEST_P(ByteCodecParamTest, ExpectEndRejectsTrailingBytes)
 {
-    WireWriter w;
-    w.u8(1);
-    w.u8(2);
-    WireReader r(w.data());
-    r.u8();
-    EXPECT_THROW(r.expectEnd(), ProtocolError);
+    auto r = open(encode([](ByteWriter &w) {
+        w.u8(1);
+        w.u8(2);
+    }));
+    r->u8();
+    EXPECT_THROW(r->expectEnd(), DecodeError);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Codecs, ByteCodecParamTest,
+    ::testing::Values(Codec::RnetPayload, Codec::SnapshotSection),
+    [](const ::testing::TestParamInfo<Codec> &info) {
+        return info.param == Codec::RnetPayload ? "RnetPayload"
+                                                : "SnapshotSection";
+    });
 
 // ---------------------------------------------------------------------
 // Framing: the damage ladder
@@ -375,6 +442,8 @@ TEST(Protocol, ResultCodecRoundTripsEveryField)
 
     WireWriter w;
     encodeResult(w, res);
+    // Captured at commit d8a811f: the v4 result layout must not move.
+    EXPECT_EQ(crc32(w.data().data(), w.data().size()), 0x937341aeu);
     WireReader r(w.data());
     const harness::ExperimentResult back = decodeResult(r);
     EXPECT_NO_THROW(r.expectEnd());
@@ -1005,12 +1074,13 @@ TEST_F(NetIntegration, MalformedBytesCostTheConnectionNotTheServer)
 
 TEST(ServerConfigEnv, ReactdVariablesParseThroughUtilEnv)
 {
-    ::setenv("REACTD_SOCKET", "/tmp/custom.sock", 1);
+    // A bare path is an AF_UNIX endpoint.
+    ::setenv("REACTD_ENDPOINT", "/tmp/custom.sock", 1);
     ::setenv("REACTD_THREADS", "3", 1);
     ::setenv("REACTD_CHECKPOINT_INTERVAL", "not-a-number", 1);
     ::setenv("REACTD_IDLE_TIMEOUT_MS", "1234", 1);
     const ServerConfig config = ServerConfig::fromEnv();
-    ::unsetenv("REACTD_SOCKET");
+    ::unsetenv("REACTD_ENDPOINT");
     ::unsetenv("REACTD_THREADS");
     ::unsetenv("REACTD_CHECKPOINT_INTERVAL");
     ::unsetenv("REACTD_IDLE_TIMEOUT_MS");

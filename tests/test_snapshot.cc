@@ -23,6 +23,7 @@
 #include "harvest/frontend.hh"
 #include "snapshot/snapshot.hh"
 #include "trace/power_trace.hh"
+#include "util/crc32.hh"
 #include "util/rng.hh"
 
 namespace react {
@@ -534,6 +535,45 @@ TEST_F(SnapshotFileTest, PreviousLayoutCheckpointColdStartsWithDiagnostic)
             EXPECT_EQ(resumed.recoveryEvents, cold.recoveryEvents);
         }
     }
+}
+
+TEST_F(SnapshotFileTest, CheckpointBytesAndDigestArePinned)
+{
+    // A REACT + PF cell (REACT's FRAM-backed controller state, PF's
+    // arrival and frame queues) halted after its first periodic
+    // checkpoint, then resumed to completion.  The literals were captured
+    // at commit d8a811f: they move only if a snapshot layout or the
+    // simulated physics changes, and the format version says neither
+    // did.
+    CellFixture cell;
+    const auto run_pf = [&cell](const harness::ExperimentConfig &cfg) {
+        auto buffer = harness::makeBuffer(harness::BufferKind::React);
+        auto benchmark = harness::makeBenchmark(
+            harness::BenchmarkKind::PacketForward,
+            cell.power.duration() + 30.0, 1234);
+        harvest::HarvesterFrontend frontend(cell.power);
+        return harness::runExperiment(*buffer, benchmark.get(), frontend,
+                                      cfg);
+    };
+    auto crash_cfg = cell.config;
+    crash_cfg.checkpointPath = path;
+    crash_cfg.checkpointEverySteps = 1000;
+    crash_cfg.haltAfterSteps = 1500;
+    ASSERT_TRUE(run_pf(crash_cfg).halted);
+    const SnapshotLoad mid = loadSnapshotFile(path);
+    ASSERT_TRUE(mid.ok);
+    EXPECT_EQ(crc32(mid.image.data(), mid.image.size()), 0xb41454b8u);
+
+    auto resume_cfg = cell.config;
+    resume_cfg.checkpointPath = path;
+    resume_cfg.resume = true;
+    const auto finished = run_pf(resume_cfg);
+    EXPECT_TRUE(finished.resumed);
+    EXPECT_GT(finished.steps, crash_cfg.haltAfterSteps);
+    EXPECT_EQ(finished.stateDigest, 0xabdcf188u);
+    const SnapshotLoad done = loadSnapshotFile(path);
+    ASSERT_TRUE(done.ok);
+    EXPECT_EQ(crc32(done.image.data(), done.image.size()), 0x66f397c7u);
 }
 
 TEST(CheckpointEnv, FileNameSanitizesCellKeys)
