@@ -88,7 +88,8 @@ submitGrid(harness::ParallelRunner &runner, harness::BenchmarkKind bench_kind,
                harness::ExperimentConfig())
 {
     // With the lane engine selected (REACT_SIMD), the grid's static
-    // cells drain in per-worker batches of up to kMaxLanes; every
+    // cells are chunked into batches of up to kMaxLanes, each submitted
+    // as one runner cell; every
     // cell's numbers stay bit-identical to a solo runCell because the
     // seed derives from the cell identity, never from batch
     // composition.  Unset/off keeps the historical per-cell submits.

@@ -37,44 +37,6 @@ CapacitorNetwork::CapacitorNetwork(int unit_count,
     branchOffsets.push_back(0);
 }
 
-CapacitorNetwork::CapacitorNetwork(const CapacitorNetwork &other)
-    : units(other.units), ownedConfig(other.ownedConfig),
-      connectedFlags(other.connectedFlags), flatUnits(other.flatUnits),
-      branchOffsets(other.branchOffsets), branchSizes(other.branchSizes),
-      cachedEqCap(other.cachedEqCap), cachedEqCapKey(other.cachedEqCapKey)
-{
-    // A source that owned its config must not leave the copy aliasing the
-    // source's storage; a source borrowing a shared ladder entry may.
-    currentCfg = other.currentCfg == &other.ownedConfig ? &ownedConfig
-                                                        : other.currentCfg;
-    // Vector copies size capacity to fit; restore the full-pool reserve
-    // so the copy keeps the allocation-free recompilation guarantee.
-    flatUnits.reserve(units.size());
-    branchOffsets.reserve(units.size() + 1);
-    branchSizes.reserve(units.size());
-}
-
-CapacitorNetwork &
-CapacitorNetwork::operator=(const CapacitorNetwork &other)
-{
-    if (this == &other)
-        return *this;
-    units = other.units;
-    ownedConfig = other.ownedConfig;
-    connectedFlags = other.connectedFlags;
-    flatUnits = other.flatUnits;
-    branchOffsets = other.branchOffsets;
-    branchSizes = other.branchSizes;
-    cachedEqCap = other.cachedEqCap;
-    cachedEqCapKey = other.cachedEqCapKey;
-    currentCfg = other.currentCfg == &other.ownedConfig ? &ownedConfig
-                                                        : other.currentCfg;
-    flatUnits.reserve(units.size());
-    branchOffsets.reserve(units.size() + 1);
-    branchSizes.reserve(units.size());
-    return *this;
-}
-
 Volts
 CapacitorNetwork::unitVoltage(int index) const
 {
@@ -154,26 +116,13 @@ Joules
 CapacitorNetwork::reconfigure(const NetworkConfig &next)
 {
     adoptConfig(next);
-    ownedConfig = next;
-    currentCfg = &ownedConfig;
-    return equalizeConnected();
-}
-
-Joules
-CapacitorNetwork::reconfigureShared(const NetworkConfig *next)
-{
-    react_assert(next != nullptr, "shared network config must not be null");
-    adoptConfig(*next);
-    currentCfg = next;
     return equalizeConnected();
 }
 
 void
-CapacitorNetwork::restoreArrangementShared(const NetworkConfig *next)
+CapacitorNetwork::restoreArrangement(const NetworkConfig &next)
 {
-    react_assert(next != nullptr, "shared network config must not be null");
-    adoptConfig(*next);
-    currentCfg = next;
+    adoptConfig(next);
 }
 
 void

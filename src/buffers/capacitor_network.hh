@@ -71,9 +71,6 @@ class CapacitorNetwork
     /** Directly set one unit's voltage (testing / initialization). */
     void setUnitVoltage(int index, Volts voltage);
 
-    /** Present arrangement. */
-    const NetworkConfig &config() const { return *currentCfg; }
-
     /** Equivalent capacitance of the connected arrangement (0 if none). */
     Farads equivalentCapacitance() const;
 
@@ -89,23 +86,15 @@ class CapacitorNetwork
 
     /**
      * Rearrange the network.  Branches at differing terminal voltages
-     * equalize through the interconnect, dissipating energy.
+     * equalize through the interconnect, dissipating energy.  The
+     * arrangement is compiled into the network's reserved step arrays
+     * and not retained, so this allocates nothing and @p next may be
+     * discarded afterwards.
      *
      * @param next New arrangement (indices must be valid and unique).
      * @return Energy dissipated by charge sharing (>= 0).
      */
     Joules reconfigure(const NetworkConfig &next);
-
-    /**
-     * Rearrange to a caller-owned arrangement *without copying it*: the
-     * controller's pre-built configuration ladder stays resident and the
-     * step/poll hot path performs zero heap allocations.  The pointee
-     * must outlive the network (or its next reconfiguration).
-     *
-     * @param next Stable pre-validated-lifetime arrangement.
-     * @return Energy dissipated by charge sharing (>= 0).
-     */
-    Joules reconfigureShared(const NetworkConfig *next);
 
     /**
      * Add signed charge at the output node, distributed across connected
@@ -128,17 +117,17 @@ class CapacitorNetwork
     Joules clipOutput(Volts ceiling);
 
     /**
-     * Adopt a caller-owned arrangement *without* equalizing the branches.
-     * Snapshot restore only: reconfigureShared() models physical charge
-     * sharing, which would corrupt unit voltages that were already
-     * captured in the equalized state.  Same lifetime contract as
-     * reconfigureShared().
+     * Adopt an arrangement *without* equalizing the branches.  Snapshot
+     * restore only: reconfigure() models physical charge sharing, which
+     * would corrupt unit voltages that were already captured in the
+     * equalized state.  Like reconfigure(), keeps no reference to
+     * @p next.
      */
-    void restoreArrangementShared(const NetworkConfig *next);
+    void restoreArrangement(const NetworkConfig &next);
 
     /** Serialize per-unit capacitor state (capacitance + voltage).  The
      *  arrangement is *not* serialized -- the owner restores it via
-     *  restoreArrangementShared() from its own config ladder. */
+     *  restoreArrangement() from its own config ladder. */
     void save(snapshot::SnapshotWriter &w) const;
     void restore(snapshot::SnapshotReader &r);
 
@@ -156,15 +145,6 @@ class CapacitorNetwork
     void adoptConfig(const NetworkConfig &next);
 
     std::vector<sim::Capacitor> units;
-
-    /**
-     * Present arrangement.  Either owned (copied by reconfigure()) or
-     * borrowed from the caller (reconfigureShared(), used by the Morphy
-     * ladder so reconfiguration allocates nothing).  The copy operations
-     * below re-point a copied owned config at the copy's own storage.
-     */
-    NetworkConfig ownedConfig;
-    const NetworkConfig *currentCfg = &ownedConfig;
 
     /** Per-unit connected flag, maintained by adoptConfig(); lets the
      *  per-step clip pass skip the old std::set rebuild (the engine's
@@ -202,8 +182,10 @@ class CapacitorNetwork
     /** @} */
 
   public:
-    CapacitorNetwork(const CapacitorNetwork &other);
-    CapacitorNetwork &operator=(const CapacitorNetwork &other);
+    /** Not copyable: nothing copies a network, and a copy would drop the
+     *  full-pool reserve that keeps recompilation allocation-free. */
+    CapacitorNetwork(const CapacitorNetwork &) = delete;
+    CapacitorNetwork &operator=(const CapacitorNetwork &) = delete;
 };
 
 // Per-step passes, inline so they fold into the owning buffer's step():

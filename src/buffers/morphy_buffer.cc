@@ -150,10 +150,10 @@ MorphyBuffer::applyConfig(int index)
 
     // Stage 1: branches of the new arrangement equalize among themselves
     // (reconfigure's own measured loss is subsumed by the bracket here).
-    // The ladder is immutable for the buffer's lifetime, so the network
-    // borrows the entry instead of copying it -- keeping ladder
-    // transitions free of heap allocation on the fixed-timestep path.
-    network.reconfigureShared(&configs[static_cast<size_t>(index)]);
+    // The network compiles the entry into its reserved arrays without
+    // copying it, so ladder transitions stay free of heap allocation on
+    // the fixed-timestep path.
+    network.reconfigure(configs[static_cast<size_t>(index)]);
 
     // Stage 2: the (now internally equalized) network shares the output
     // node with the task capacitor; equalize them too.  The staging is
@@ -268,7 +268,7 @@ MorphyBuffer::reset()
     task.setVoltage(Volts(0.0));
     for (int i = 0; i < network.unitCount(); ++i)
         network.setUnitVoltage(i, Volts(0.0));
-    network.reconfigureShared(&configs[0]);  // ladder entry 0 is empty
+    network.reconfigure(configs[0]);  // ladder entry 0 is empty
     configIndex = 0;
     requestedLevel = 0;
     pollAccumulator = Seconds(0.0);
@@ -304,7 +304,7 @@ MorphyBuffer::restore(snapshot::SnapshotReader &r)
     // Re-adopt the ladder arrangement without equalizing: the unit
     // voltages above already capture the equalized post-reconfiguration
     // state, and a modeled charge-share here would burn phantom energy.
-    network.restoreArrangementShared(&configs[index]);
+    network.restoreArrangement(configs[index]);
     requestedLevel = static_cast<int>(r.u32());
     pollAccumulator = Seconds(r.f64());
     agingAccumulator = Seconds(r.f64());

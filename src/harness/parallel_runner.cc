@@ -1,12 +1,12 @@
 #include "parallel_runner.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -100,7 +100,7 @@ std::atomic<bool> stopFlag{false};
 
 /** Signal handler installed by run() under SignalPolicy::ExitAfterDrain:
  *  just raise the flag (an atomic store is async-signal-safe); the
- *  worker loops notice it between cells. */
+ *  claim loop notices it between cells. */
 void
 onStopSignal(int)
 {
@@ -123,12 +123,6 @@ cellSeed(uint64_t base_seed, std::string_view cell_key)
     // flip about half the output.
     return mix64(h + mix64(base_seed + 0x9e3779b97f4a7c15ull));
 }
-
-struct ParallelRunner::WorkerQueue
-{
-    std::mutex lock;
-    std::deque<size_t> indices;
-};
 
 ParallelRunner::ParallelRunner(int threads)
     : nThreads(threads > 0 ? threads : defaultThreadCount())
@@ -169,59 +163,6 @@ ParallelRunner::submit(std::string label, std::function<void()> fn)
     return tasks.size() - 1;
 }
 
-long
-ParallelRunner::nextTask(int worker_index)
-{
-    // Graceful drain: once the stop flag is up no new cell is handed
-    // out; the cell currently executing on each worker finishes.
-    if (stopRequested())
-        return -1;
-    auto &queues_ref = *queues;
-    // Own deque first, front-out: preserves the deterministic deal order
-    // for the common un-stolen case.
-    {
-        auto &q = queues_ref[static_cast<size_t>(worker_index)];
-        std::lock_guard<std::mutex> g(q.lock);
-        if (!q.indices.empty()) {
-            const size_t idx = q.indices.front();
-            q.indices.pop_front();
-            return static_cast<long>(idx);
-        }
-    }
-    // Steal from the back of the other workers' deques (back-out keeps
-    // the victim's front cache-warm for the victim).
-    const int n = static_cast<int>(queues_ref.size());
-    for (int offset = 1; offset < n; ++offset) {
-        auto &victim =
-            queues_ref[static_cast<size_t>((worker_index + offset) % n)];
-        std::lock_guard<std::mutex> g(victim.lock);
-        if (!victim.indices.empty()) {
-            const size_t idx = victim.indices.back();
-            victim.indices.pop_back();
-            return static_cast<long>(idx);
-        }
-    }
-    return -1;
-}
-
-void
-ParallelRunner::workerLoop(int worker_index)
-{
-    for (;;) {
-        const long idx = nextTask(worker_index);
-        if (idx < 0)
-            return;
-        auto &task = tasks[static_cast<size_t>(idx)];
-        const auto t0 = telemetryNow();
-        task.fn();
-        const auto t1 = telemetryNow();
-        cellTimings[static_cast<size_t>(idx)].seconds =
-            std::chrono::duration<double>(t1 - t0).count();
-        executedCount.fetch_add(1, std::memory_order_relaxed);
-        noteCellCompleted();
-    }
-}
-
 void
 ParallelRunner::run()
 {
@@ -248,80 +189,83 @@ ParallelRunner::run()
     lastInterrupted = false;
     const size_t batch_size = tasks.size();
 
-    const auto t0 = telemetryNow();
-
-    if (nThreads <= 1 || tasks.size() <= 1) {
-        // Serial reference path: submission order, no pool machinery.
-        for (size_t i = 0; i < tasks.size(); ++i) {
-            if (stopRequested())
-                break;
-            const auto c0 = telemetryNow();
-            tasks[i].fn();
-            const auto c1 = telemetryNow();
-            cellTimings[i].seconds =
-                std::chrono::duration<double>(c1 - c0).count();
+    // The claim loop every worker runs, the caller included: take the
+    // next cell in submission order until the batch is exhausted, the
+    // stop flag is up, or some cell has thrown.  Which worker runs a
+    // cell is an execution accident; cell results depend on neither
+    // that nor the order, which the determinism suite enforces.
+    std::atomic<size_t> cursor{0};
+    std::atomic<bool> failed{false};
+    std::exception_ptr first_error;
+    std::mutex error_lock;
+    const auto note_error = [&] {
+        std::lock_guard<std::mutex> g(error_lock);
+        if (!first_error)
+            first_error = std::current_exception();
+        failed = true;
+    };
+    const auto claim_loop = [&] {
+        while (!stopRequested() && !failed) {
+            const size_t idx = cursor++;
+            if (idx >= batch_size)
+                return;
+            try {
+                const auto c0 = telemetryNow();
+                tasks[idx].fn();
+                const auto c1 = telemetryNow();
+                cellTimings[idx].seconds =
+                    std::chrono::duration<double>(c1 - c0).count();
+            } catch (...) {
+                note_error();
+                return;
+            }
             executedCount.fetch_add(1, std::memory_order_relaxed);
             noteCellCompleted();
         }
-    } else {
-        // Deterministic round-robin deal onto per-worker deques.  The
-        // deal (and hence which cell lands where when nothing is
-        // stolen) depends only on submission order and thread count --
-        // and cell *results* depend on neither, which the determinism
-        // suite enforces.
-        const int n = std::min<int>(nThreads,
-                                    static_cast<int>(tasks.size()));
-        std::vector<WorkerQueue> worker_queues(
-            static_cast<size_t>(n));
-        for (size_t i = 0; i < tasks.size(); ++i) {
-            worker_queues[i % static_cast<size_t>(n)].indices.push_back(i);
-        }
-        queues = &worker_queues;
+    };
 
-        std::exception_ptr first_error;
-        std::mutex error_lock;
-        std::vector<std::thread> workers;
-        workers.reserve(static_cast<size_t>(n));
-        for (int w = 0; w < n; ++w) {
-            workers.emplace_back([this, w, &first_error, &error_lock] {
-                try {
-                    workerLoop(w);
-                } catch (...) {
-                    std::lock_guard<std::mutex> g(error_lock);
-                    if (!first_error)
-                        first_error = std::current_exception();
-                }
-            });
+    const auto t0 = telemetryNow();
+    const size_t workers =
+        std::min(static_cast<size_t>(nThreads), batch_size);
+    std::vector<std::thread> helpers;
+    for (size_t w = 1; w < workers; ++w) {
+        try {
+            helpers.emplace_back(claim_loop);
+        } catch (...) {
+            note_error();  // a failed spawn abandons the batch like a cell
+            break;
         }
-        for (auto &worker : workers)
-            worker.join();
-        queues = nullptr;
-        if (first_error)
-            std::rethrow_exception(first_error);
     }
-
+    claim_loop();
+    for (auto &helper : helpers)
+        helper.join();
     const auto t1 = telemetryNow();
+
     lastWallSeconds = std::chrono::duration<double>(t1 - t0).count();
     tasks.clear();
     lastInterrupted = stopRequested();
-
     if (own_signals) {
         sigaction(SIGINT, &old_int, nullptr);
         sigaction(SIGTERM, &old_term, nullptr);
-        if (lastInterrupted) {
-            // The drain is complete: every dispatched cell finished (and
-            // wrote its checkpoint when REACT_CHECKPOINT_DIR is set).
-            // Exit with a status distinct from success and from the
-            // crash hook so drivers can tell "interrupted cleanly" from
-            // "died"; a rerun resumes the finished cells from their
-            // snapshots.
-            react_warn("sweep interrupted by signal: completed %zu of "
-                       "%zu cells, exiting with status %d",
-                       executedCount.load(), batch_size,
-                       kInterruptedExitStatus);
-            std::fflush(nullptr);
-            std::_Exit(kInterruptedExitStatus);
-        }
+    }
+    // A cell's exception outranks the drain exit: the caller learns
+    // what failed rather than that a signal arrived.
+    if (first_error)
+        std::rethrow_exception(first_error);
+
+    if (own_signals && lastInterrupted) {
+        // The drain is complete: every dispatched cell finished (and
+        // wrote its checkpoint when REACT_CHECKPOINT_DIR is set).  Exit
+        // with a status distinct from success and from the crash hook
+        // so a calling script can tell "interrupted cleanly" from
+        // "died"; a rerun resumes the finished cells from their
+        // snapshots.
+        react_warn("sweep interrupted by signal: completed %zu of "
+                   "%zu cells, exiting with status %d",
+                   executedCount.load(), batch_size,
+                   kInterruptedExitStatus);
+        std::fflush(nullptr);
+        std::_Exit(kInterruptedExitStatus);
     }
 }
 

@@ -14,13 +14,14 @@
  *     the cell, see cellSeed()), never from thread identity, scheduling
  *     order, time, or any other execution accident.
  *
- * Scheduling is work-stealing: cells are dealt round-robin onto per-
- * worker deques at submission time (a deterministic assignment), each
- * worker drains its own deque from the front and steals from the back of
- * its neighbours' when empty, so one long cell cannot strand the sweep
- * behind an idle core.  With one thread the runner degrades to an inline
- * serial loop in submission order -- the reference execution that the
- * determinism suite compares against.
+ * Scheduling is one claim loop: a shared atomic cursor hands out the
+ * next unclaimed cell in submission order, and every worker -- the
+ * calling thread plus min(threads, cells) - 1 spawned ones -- runs the
+ * same loop until the batch is exhausted, the stop flag is up, or a
+ * cell has thrown.  A long cell never strands the sweep: whichever
+ * worker is free claims the next cell.  With one thread no thread is
+ * spawned and the loop runs inline on the caller in submission order --
+ * the reference execution that the determinism suite compares against.
  */
 
 #ifndef REACT_HARNESS_PARALLEL_RUNNER_HH
@@ -84,7 +85,7 @@ enum class SignalPolicy
     External,
 };
 
-/** Work-stealing scheduler for independent simulation cells. */
+/** Claim-loop scheduler for independent simulation cells. */
 class ParallelRunner
 {
   public:
@@ -121,10 +122,13 @@ class ParallelRunner
     size_t submit(std::string label, std::function<void()> fn);
 
     /**
-     * Execute every submitted cell and block until all complete.  The
-     * first exception thrown by a cell is rethrown here after the pool
-     * drains.  The runner may be reused: cells submitted after run()
-     * form a new batch.
+     * Execute every submitted cell and block until all complete.  If a
+     * cell throws, no further cell is claimed, the cells already running
+     * finish, and the first exception is rethrown here -- after the exit
+     * work every path shares: wall time and timings are recorded, the
+     * batch is dropped, and any SIGINT/SIGTERM dispositions run()
+     * installed are restored.  The runner may be reused: cells submitted
+     * after run() form a new batch.
      */
     void run();
 
@@ -159,7 +163,7 @@ class ParallelRunner
     bool interrupted() const { return lastInterrupted; }
 
     /** Cells actually executed by the last run() (== timings().size()
-     *  unless the batch was interrupted). */
+     *  unless the batch was interrupted or a cell threw). */
     size_t executedCells() const { return executedCount.load(); }
 
   private:
@@ -169,13 +173,6 @@ class ParallelRunner
         std::function<void()> fn;
     };
 
-    /** Worker loop: drain own deque, then steal. */
-    void workerLoop(int worker_index);
-
-    /** Pop the next task index for this worker; -1 when the batch is
-     *  exhausted. */
-    long nextTask(int worker_index);
-
     int nThreads = 1;
     SignalPolicy signalPolicy = SignalPolicy::ExitAfterDrain;
     bool lastInterrupted = false;
@@ -183,11 +180,6 @@ class ParallelRunner
     std::vector<Task> tasks;
     std::vector<CellTiming> cellTimings;
     double lastWallSeconds = 0.0;
-
-    /** Per-worker task-index deques (guarded by one mutex each); rebuilt
-     *  by run() from the round-robin deal. */
-    struct WorkerQueue;
-    std::vector<WorkerQueue> *queues = nullptr;  // set during run() only
 };
 
 } // namespace harness

@@ -60,7 +60,8 @@ TEST(ConcurrencyRunner, EightThreadsMatchSerialBitExact)
         runner.setSignalPolicy(harness::SignalPolicy::External);
         for (int i = 0; i < kCells; ++i) {
             const std::string label = "cell:" + std::to_string(i);
-            // Uneven draw counts force the work-stealing path.
+            // Uneven draw counts make workers finish cells at different
+            // times, so they interleave on the shared claim cursor.
             const int draws = 100 + (i * 37) % 503;
             runner.submit(label, [&out, i, label, draws] {
                 out[static_cast<size_t>(i)] =

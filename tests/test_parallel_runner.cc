@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -113,6 +114,115 @@ TEST(ParallelRunner, CellExceptionPropagates)
                   []() { throw std::runtime_error("cell failure"); });
     EXPECT_THROW(runner.run(), std::runtime_error);
 }
+
+/** A cell's own failure type, so the test can tell it from anything
+ *  the runner itself might throw. */
+struct CellFailure : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
+/** Handler a test installs so "restored" means back to it, not to the
+ *  default disposition. */
+void
+testSignalHandler(int)
+{
+}
+
+/**
+ * The exception path at each thread count: one suite parameterized over
+ * 1 and 4 threads, so the inline run and the pooled run must leave the
+ * runner and the process in the same state after a cell throws.
+ */
+class ThrowingCellTest : public testing::TestWithParam<int>
+{
+  protected:
+    void SetUp() override
+    {
+        ParallelRunner::clearStopRequest();
+        struct sigaction sa = {};
+        sa.sa_handler = testSignalHandler;
+        sigemptyset(&sa.sa_mask);
+        ASSERT_EQ(sigaction(SIGINT, &sa, &savedInt), 0);
+        ASSERT_EQ(sigaction(SIGTERM, &sa, &savedTerm), 0);
+    }
+
+    void TearDown() override
+    {
+        sigaction(SIGINT, &savedInt, nullptr);
+        sigaction(SIGTERM, &savedTerm, nullptr);
+    }
+
+    /** Current handler for @p signo. */
+    static void (*handlerOf(int signo))(int)
+    {
+        struct sigaction now = {};
+        sigaction(signo, nullptr, &now);
+        return now.sa_handler;
+    }
+
+    struct sigaction savedInt = {}, savedTerm = {};
+};
+
+TEST_P(ThrowingCellTest, RethrowsRestoresSignalsAndDropsBatch)
+{
+    constexpr int kCells = 8;
+    constexpr int kThrower = 2;
+    ParallelRunner runner(GetParam());  // default ExitAfterDrain policy
+    std::vector<std::atomic<int>> runs(kCells);
+    for (int i = 0; i < kCells; ++i) {
+        runner.submit("cell", [&runs, i]() {
+            runs[static_cast<size_t>(i)].fetch_add(1);
+            if (i == kThrower)
+                throw CellFailure("cell 2 failed");
+        });
+    }
+
+    bool caught = false;
+    try {
+        runner.run();
+    } catch (const CellFailure &e) {
+        caught = true;
+        EXPECT_STREQ(e.what(), "cell 2 failed");
+    }
+    EXPECT_TRUE(caught) << "run() must rethrow the cell's own exception";
+    EXPECT_FALSE(runner.interrupted());
+    EXPECT_EQ(runs[kThrower].load(), 1);
+    if (GetParam() == 1) {
+        // Inline run: submission order, and nothing is claimed after
+        // the cell that threw.
+        for (int i = 0; i < kCells; ++i)
+            EXPECT_EQ(runs[static_cast<size_t>(i)].load(),
+                      i <= kThrower ? 1 : 0) << "cell " << i;
+    }
+
+    // The handlers run() installed are gone: the dispositions saved
+    // before run() are back.
+    EXPECT_EQ(handlerOf(SIGINT), &testSignalHandler);
+    EXPECT_EQ(handlerOf(SIGTERM), &testSignalHandler);
+
+    // The failed batch is dropped: a fresh batch runs only its own cell.
+    std::vector<int> before(kCells);
+    for (int i = 0; i < kCells; ++i)
+        before[static_cast<size_t>(i)] = runs[static_cast<size_t>(i)].load();
+    bool fresh_ran = false;
+    runner.submit("fresh", [&fresh_ran]() { fresh_ran = true; });
+    runner.run();
+    EXPECT_TRUE(fresh_ran);
+    ASSERT_EQ(runner.timings().size(), 1u);
+    EXPECT_EQ(runner.timings()[0].label, "fresh");
+    EXPECT_EQ(runner.executedCells(), 1u);
+    for (int i = 0; i < kCells; ++i)
+        EXPECT_EQ(runs[static_cast<size_t>(i)].load(),
+                  before[static_cast<size_t>(i)]) << "cell " << i << " re-ran";
+    EXPECT_EQ(handlerOf(SIGINT), &testSignalHandler);
+    EXPECT_EQ(handlerOf(SIGTERM), &testSignalHandler);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ThrowingCellTest, testing::Values(1, 4),
+                         [](const testing::TestParamInfo<int> &info) {
+                             return std::to_string(info.param) + "threads";
+                         });
 
 TEST(ParallelRunner, EnvOverridesDefaultThreadCount)
 {
