@@ -22,7 +22,8 @@
  *  3. Damage: the primary snapshot file is truncated, then bit-flipped;
  *     the resume must fall back to `.prev` with a diagnostic and still
  *     finish golden-identical.  A length-lie re-sealed under a valid
- *     CRC must be rejected by the decoder and cold-start.  With *both*
+ *     CRC must be rejected by the decoder and cold-start, and so must
+ *     (REACT only) a bank state byte no arrangement has.  With *both*
  *     files damaged it must degrade to a clean cold start -- never UB,
  *     never a wrong result.
  *
@@ -258,13 +259,18 @@ truncateFile(const std::string &path)
 }
 
 /**
- * A length-lie the CRC cannot see: rewrite the buffer-name length (the
- * first field of the leading "meta" section) to ~4 GiB, then re-seal the
- * section's CRC.  The file still validates, so only the decode of its
- * fields can reject it.
+ * Rewrite the payload of one named section in place and re-seal its CRC,
+ * so the file still validates and only the decode of its fields can
+ * reject it.  Walks the sections from the header (magic, version,
+ * section count); each is a u8 name length, the name, the u64 payload
+ * length, the payload and its u32 CRC (snapshot/snapshot.hh).
+ *
+ * @param edit Called with the payload and its length; returns false
+ *        when the payload is too short to damage.
  */
+template <typename Edit>
 bool
-lengthLie(const std::string &path)
+resealedEdit(const std::string &path, const std::string &name, Edit edit)
 {
     std::vector<uint8_t> image;
     {
@@ -272,26 +278,62 @@ lengthLie(const std::string &path)
         image.assign(std::istreambuf_iterator<char>(in),
                      std::istreambuf_iterator<char>());
     }
-    // Header (magic, version, section count), then u8 name length, the
-    // name, and the u64 payload length (snapshot/snapshot.hh).
-    const size_t section = 12;
-    const std::string meta = "meta";
-    const size_t payload = section + 1 + meta.size() + 8;
-    if (image.size() < payload ||
-        std::string(image.begin() + section + 1,
-                    image.begin() + section + 1 + meta.size()) != meta)
-        return false;
-    const uint64_t payload_len = loadLe64(image.data() + payload - 8);
-    if (payload_len < 4 || payload + payload_len + 4 > image.size())
-        return false;
-    storeLe32(image.data() + payload, 0xfffffff0u);
-    storeLe32(image.data() + payload + payload_len,
-              crc32(image.data() + section,
-                    payload + payload_len - section));
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char *>(image.data()),
-              static_cast<std::streamsize>(image.size()));
-    return static_cast<bool>(out);
+    size_t section = 12;
+    while (section < image.size()) {
+        const size_t name_len = image[section];
+        const size_t payload = section + 1 + name_len + 8;
+        if (payload > image.size())
+            return false;
+        const uint64_t payload_len = loadLe64(image.data() + payload - 8);
+        if (payload_len > image.size() - payload ||
+            image.size() - payload - payload_len < 4)
+            return false;
+        const size_t end = payload + static_cast<size_t>(payload_len);
+        if (std::string(image.begin() + section + 1,
+                        image.begin() + section + 1 + name_len) != name) {
+            section = end + 4;
+            continue;
+        }
+        if (!edit(image.data() + payload, payload_len))
+            return false;
+        storeLe32(image.data() + end,
+                  crc32(image.data() + section, end - section));
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char *>(image.data()),
+                  static_cast<std::streamsize>(image.size()));
+        return static_cast<bool>(out);
+    }
+    return false;
+}
+
+/** A length-lie the CRC cannot see: rewrite the buffer-name length (the
+ *  first field of the leading "meta" section) to ~4 GiB. */
+bool
+lengthLie(const std::string &path)
+{
+    return resealedEdit(path, "meta", [](uint8_t *payload, uint64_t len) {
+        if (len < 4)
+            return false;
+        storeLe32(payload, 0xfffffff0u);
+        return true;
+    });
+}
+
+/**
+ * An enum-lie the CRC cannot see: REACT bank 0's arrangement byte set
+ * to 7, no BankState.  In the "buffer" section it follows the ledger
+ * (64 B), the last-level capacitor (16 B) and the bank count (4 B).
+ */
+bool
+enumLie(const std::string &path)
+{
+    constexpr size_t kBank0State = 64 + 16 + 4;
+    return resealedEdit(path, "buffer", [](uint8_t *payload, uint64_t len) {
+        if (len <= kBank0State)
+            return false;
+        payload[kBank0State] = 0x07;
+        return true;
+    });
 }
 
 } // namespace
@@ -391,14 +433,20 @@ main(int argc, char **argv)
                 bool (*apply)(const std::string &);
                 bool damagePrev;
                 Expect expect;
+                /** Applies to the REACT case only (bank bytes). */
+                bool reactOnly;
             };
             const DamageStage stages[] = {
-                {"truncated", truncateFile, false, Expect::Fallback},
-                {"bit-flipped", flipByte, false, Expect::Fallback},
-                {"length-lie", lengthLie, false, Expect::Rejected},
-                {"both-destroyed", flipByte, true, Expect::ColdStart},
+                {"truncated", truncateFile, false, Expect::Fallback, false},
+                {"bit-flipped", flipByte, false, Expect::Fallback, false},
+                {"length-lie", lengthLie, false, Expect::Rejected, false},
+                {"enum-lie", enumLie, false, Expect::Rejected, true},
+                {"both-destroyed", flipByte, true, Expect::ColdStart, false},
             };
             for (const auto &stage : stages) {
+                if (stage.reactOnly &&
+                    fc.buffer != harness::BufferKind::React)
+                    continue;
                 removeSnapshots(snap);
                 auto crash_cfg = baseConfig();
                 crash_cfg.checkpointPath = snap;

@@ -1,17 +1,12 @@
 #include "bank.hh"
 
-#include <cmath>
-#include <limits>
+#include <string>
 
-#include "sim/hotloop_stats.hh"
 #include "snapshot/snapshot.hh"
 #include "util/logging.hh"
-#include "util/units.hh"
 
 namespace react {
 namespace core {
-
-using units::Ohms;
 
 const char *
 bankStateName(BankState state)
@@ -28,39 +23,16 @@ bankStateName(BankState state)
 }
 
 CapacitorBank::CapacitorBank(const BankSpec &spec)
-    : bankSpec(spec)
+    : unit(spec.unit), members(spec.count)
 {
     react_assert(spec.count >= 1, "bank needs at least one capacitor");
-    react_assert(spec.unit.capacitance > Farads(0),
-                 "bank unit capacitance must be positive");
-    rebuildLeakCache();
-}
-
-void
-CapacitorBank::rebuildLeakCache()
-{
-    const Ohms r = bankSpec.unit.leakResistance();
-    leakTauFinite = units::isfinite(r);
-    leakTau = leakTauFinite ? r * bankSpec.unit.capacitance : Seconds(0.0);
-    cachedLeakDt = Seconds(-1.0);
-    cachedLeakDecay = 1.0;
-}
-
-void
-CapacitorBank::setUnitVoltage(Volts v)
-{
-    react_assert(v >= Volts(0), "unit voltage must be >= 0");
-    vUnit = v;
 }
 
 Joules
 CapacitorBank::setUnitCapacitance(Farads capacitance)
 {
-    react_assert(capacitance > Farads(0),
-                 "bank unit capacitance must be positive");
     const Joules before = storedEnergy();
-    bankSpec.unit.capacitance = capacitance;
-    rebuildLeakCache();
+    unit.setCapacitance(capacitance);
     return before - storedEnergy();
 }
 
@@ -76,32 +48,37 @@ void
 CapacitorBank::addChargeAtTerminal(Coulombs dq)
 {
     react_assert(connected(), "cannot move charge on a disconnected bank");
-    const double n = static_cast<double>(bankSpec.count);
     if (bankState == BankState::Series) {
         // The same charge flows through every series member.
-        vUnit += dq / bankSpec.unit.capacitance;
-    } else {
-        vUnit += dq / (n * bankSpec.unit.capacitance);
+        unit.addCharge(dq);
+        return;
     }
-    if (vUnit < Volts(0))
-        vUnit = Volts(0);
+    const double n = static_cast<double>(members);
+    Volts v = unit.voltage() + dq / (n * unit.capacitance());
+    if (v < Volts(0))
+        v = Volts(0);
+    unit.setVoltage(v);
 }
 
 void
 CapacitorBank::save(snapshot::SnapshotWriter &w) const
 {
     w.u8(static_cast<uint8_t>(bankState));
-    w.f64(vUnit.raw());
-    w.f64(bankSpec.unit.capacitance.raw());
+    w.f64(unit.voltage().raw());
+    w.f64(unit.capacitance().raw());
 }
 
 void
 CapacitorBank::restore(snapshot::SnapshotReader &r)
 {
-    bankState = static_cast<BankState>(r.u8());
-    vUnit = Volts(r.f64());
-    bankSpec.unit.capacitance = Farads(r.f64());
-    rebuildLeakCache();
+    const uint8_t state = r.u8();
+    const Volts v(r.f64());
+    const Farads c(r.f64());
+    if (state > static_cast<uint8_t>(BankState::Parallel))
+        throw snapshot::SnapshotError("bank snapshot: unknown state " +
+                                      std::to_string(state));
+    unit.restoreState(c, v);
+    bankState = static_cast<BankState>(state);
 }
 
 } // namespace core

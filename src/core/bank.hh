@@ -12,6 +12,10 @@
  * multiplies the terminal voltage by N, making energy below the
  * undervoltage threshold extractable again (S 3.3.4, an N^2 reduction in
  * stranded energy).
+ *
+ * The same symmetry is the model: a bank is one sim::Capacitor standing
+ * for each member, times the count, seen through the series or parallel
+ * terminal view.
  */
 
 #ifndef REACT_CORE_BANK_HH
@@ -58,27 +62,31 @@ struct BankSpec
     Farads seriesCapacitance() const;
     /** Capacitance in the parallel arrangement. */
     Farads parallelCapacitance() const;
-    /** Total energy capacity at a given per-capacitor voltage. */
-    Joules energyAtUnitVoltage(Volts v_unit) const;
 };
 
-/** Run-time state of one bank. */
+/**
+ * Run-time state of one bank: one sim::Capacitor standing for every
+ * member (by symmetry they all hold the same voltage and capacitance),
+ * the member count, and the arrangement.  Leakage, clipping and fade are
+ * the unit's own physics; the bank scales its energy by the count and
+ * derives the terminal view from the arrangement.
+ */
 class CapacitorBank
 {
   public:
     explicit CapacitorBank(const BankSpec &spec);
 
-    /** Static description. */
-    const BankSpec &spec() const { return bankSpec; }
+    /** Number of identical capacitors. */
+    int count() const { return members; }
 
     /** Present arrangement. */
     BankState state() const { return bankState; }
 
     /** Per-capacitor voltage (identical across members by symmetry). */
-    Volts unitVoltage() const { return vUnit; }
+    Volts unitVoltage() const { return unit.voltage(); }
 
     /** Force the per-capacitor voltage (tests / initialization). */
-    void setUnitVoltage(Volts v);
+    void setUnitVoltage(Volts v) { unit.setVoltage(v); }
 
     /**
      * Re-derate the per-capacitor capacitance (dielectric aging under
@@ -128,33 +136,21 @@ class CapacitorBank
      */
     Joules clipToRating();
 
-    /** Serialize arrangement, per-capacitor voltage, and the unit
-     *  capacitance (mutable under dielectric-aging injection). */
+    /**
+     * Serialize arrangement, per-capacitor voltage, and the unit
+     * capacitance (mutable under dielectric-aging injection).  restore()
+     * throws snapshot::SnapshotError, leaving the bank untouched, on an
+     * unknown arrangement, a non-finite or negative voltage, or a
+     * non-finite or non-positive capacitance.
+     */
     void save(snapshot::SnapshotWriter &w) const;
     void restore(snapshot::SnapshotReader &r);
 
   private:
-    BankSpec bankSpec;
+    /** The representative member. */
+    sim::Capacitor unit;
+    int members;
     BankState bankState = BankState::Disconnected;
-    Volts vUnit{0.0};
-
-    /**
-     * @name Memoized leak-decay cache
-     *
-     * Same scheme as sim::Capacitor: the per-step exp(-dt / (R_leak C))
-     * of leak() depends only on the unit part parameters and dt, so the
-     * time constant and last decay factor are cached and rebuilt at
-     * every mutation point (construction, setUnitCapacitance, snapshot
-     * restore).  The cached expression repeats the original operation
-     * sequence exactly, keeping results bit-identical.
-     * @{
-     */
-    Seconds leakTau{0.0};
-    bool leakTauFinite = false;
-    Seconds cachedLeakDt{-1.0};
-    double cachedLeakDecay = 1.0;
-    void rebuildLeakCache();
-    /** @} */
 };
 
 // Inline definitions for the per-step leaf operations: REACT touches
@@ -173,13 +169,6 @@ BankSpec::parallelCapacitance() const
     return unit.capacitance * static_cast<double>(count);
 }
 
-inline Joules
-BankSpec::energyAtUnitVoltage(Volts v_unit) const
-{
-    return static_cast<double>(count) *
-        units::capEnergy(unit.capacitance, v_unit);
-}
-
 inline Volts
 CapacitorBank::terminalVoltage() const
 {
@@ -187,9 +176,9 @@ CapacitorBank::terminalVoltage() const
       case BankState::Disconnected:
         return Volts(0.0);
       case BankState::Series:
-        return vUnit * static_cast<double>(bankSpec.count);
+        return unit.voltage() * static_cast<double>(members);
       case BankState::Parallel:
-        return vUnit;
+        return unit.voltage();
     }
     return Volts(0.0);
 }
@@ -201,9 +190,9 @@ CapacitorBank::terminalCapacitance() const
       case BankState::Disconnected:
         return Farads(0.0);
       case BankState::Series:
-        return bankSpec.seriesCapacitance();
+        return unit.capacitance() / static_cast<double>(members);
       case BankState::Parallel:
-        return bankSpec.parallelCapacitance();
+        return unit.capacitance() * static_cast<double>(members);
     }
     return Farads(0.0);
 }
@@ -211,33 +200,29 @@ CapacitorBank::terminalCapacitance() const
 inline Joules
 CapacitorBank::storedEnergy() const
 {
-    return bankSpec.energyAtUnitVoltage(vUnit);
+    return static_cast<double>(members) * unit.energy();
 }
+
+// leak() and clipToRating() book the count-scaled delta.  A unit delta
+// of exactly 0 means the unit's energy did not change, so the bank's
+// delta is 0 too; returning early lets the common no-op step skip the
+// count-scaled products.
 
 inline Joules
 CapacitorBank::leak(Seconds dt)
 {
-    if (!leakTauFinite || vUnit <= Volts(0))
-        return Joules(0);
-    if (dt == cachedLeakDt) {
-        ++sim::hotloop::counters().leakCacheHits;
-    } else {
-        cachedLeakDecay = std::exp(-dt / leakTau);
-        cachedLeakDt = dt;
-        ++sim::hotloop::counters().leakCacheMisses;
-    }
     const Joules before = storedEnergy();
-    vUnit *= cachedLeakDecay;
+    if (unit.leak(dt) == Joules(0))
+        return Joules(0);
     return before - storedEnergy();
 }
 
 inline Joules
 CapacitorBank::clipToRating()
 {
-    if (vUnit <= bankSpec.unit.ratedVoltage)
-        return Joules(0);
     const Joules before = storedEnergy();
-    vUnit = bankSpec.unit.ratedVoltage;
+    if (unit.clip() == Joules(0))
+        return Joules(0);
     return before - storedEnergy();
 }
 

@@ -13,40 +13,6 @@ BankPolicy::BankPolicy(int bank_count)
     react_assert(bank_count >= 0, "bank count must be >= 0");
 }
 
-BankState
-BankPolicy::stateForLevel(int bank_index, int level) const
-{
-    react_assert(bank_index >= 0 && bank_index < banks,
-                 "bank index out of range");
-    react_assert(level >= 0 && level <= maxLevel(),
-                 "level %d out of range", level);
-    const int sub = std::clamp(level - 2 * bank_index, 0, 2);
-    switch (sub) {
-      case 0:
-        return BankState::Disconnected;
-      case 1:
-        return BankState::Series;
-      default:
-        return BankState::Parallel;
-    }
-}
-
-int
-BankPolicy::bankChangedByRaise(int level) const
-{
-    if (level >= maxLevel())
-        return -1;
-    return level / 2;
-}
-
-int
-BankPolicy::bankChangedByLower(int level) const
-{
-    if (level <= 0)
-        return -1;
-    return (level - 1) / 2;
-}
-
 int
 BankPolicy::healthyCount(uint32_t retired_mask) const
 {
@@ -56,19 +22,6 @@ BankPolicy::healthyCount(uint32_t retired_mask) const
             ++n;
     }
     return n;
-}
-
-int
-BankPolicy::nthHealthy(int rank, uint32_t retired_mask) const
-{
-    for (int i = 0; i < banks; ++i) {
-        if ((retired_mask & (1u << i)) != 0)
-            continue;
-        if (rank == 0)
-            return i;
-        --rank;
-    }
-    return -1;
 }
 
 int
@@ -101,22 +54,6 @@ BankPolicy::stateForLevel(int bank_index, int level,
       default:
         return BankState::Parallel;
     }
-}
-
-int
-BankPolicy::bankChangedByRaise(int level, uint32_t retired_mask) const
-{
-    if (level >= maxLevel(retired_mask))
-        return -1;
-    return nthHealthy(level / 2, retired_mask);
-}
-
-int
-BankPolicy::bankChangedByLower(int level, uint32_t retired_mask) const
-{
-    if (level <= 0)
-        return -1;
-    return nthHealthy((level - 1) / 2, retired_mask);
 }
 
 } // namespace core

@@ -22,7 +22,15 @@
 namespace react {
 namespace core {
 
-/** Capacitance-level arithmetic shared by controller and benches. */
+/**
+ * Capacitance-level arithmetic shared by controller and benches.
+ *
+ * `retired_mask` has bit i set when the watchdog has retired bank i.
+ * Retired banks are pinned Disconnected and the level ladder is built
+ * over the surviving banks in the original connection order: the k-th
+ * *healthy* bank owns the ladder slots 2k+1 (Series) and 2k+2
+ * (Parallel).  Mask 0, the default, is the full paper ladder.
+ */
 class BankPolicy
 {
   public:
@@ -32,59 +40,22 @@ class BankPolicy
     /** Number of configurable banks. */
     int bankCount() const { return banks; }
 
-    /** Highest level: every bank parallel. */
-    int maxLevel() const { return banks * 2; }
+    /** Highest level: every surviving bank parallel. */
+    int maxLevel(uint32_t retired_mask = 0) const;
 
     /**
      * Arrangement of one bank at a given level.
      *
      * @param bank_index Connection-order index (0 connects first).
-     * @param level Controller level in [0, maxLevel()].
+     * @param level Controller level in [0, maxLevel(retired_mask)].
      */
-    BankState stateForLevel(int bank_index, int level) const;
-
-    /** Which bank changes when moving from `level` to `level + 1`;
-     *  -1 when already at the top. */
-    int bankChangedByRaise(int level) const;
-
-    /** Which bank changes when moving from `level` to `level - 1`;
-     *  -1 when already at the bottom. */
-    int bankChangedByLower(int level) const;
-
-    /**
-     * @name Degraded-mode overloads (watchdog bank retirement)
-     *
-     * `retired_mask` has bit i set when the watchdog has retired bank i.
-     * Retired banks are pinned Disconnected and the level ladder is
-     * rebuilt over the surviving banks in the original connection order:
-     * the k-th *healthy* bank owns the ladder slots previously owned by
-     * the k-th bank.  With mask 0 the overloads match the plain versions
-     * exactly.
-     * @{
-     */
-
-    /** Highest level over the surviving banks. */
-    int maxLevel(uint32_t retired_mask) const;
-
-    /** Arrangement of one bank at a level, honouring retirements. */
     BankState stateForLevel(int bank_index, int level,
-                            uint32_t retired_mask) const;
-
-    /** Physical index of the bank changed by raising `level`; -1 at top. */
-    int bankChangedByRaise(int level, uint32_t retired_mask) const;
-
-    /** Physical index of the bank changed by lowering `level`; -1 at 0. */
-    int bankChangedByLower(int level, uint32_t retired_mask) const;
+                            uint32_t retired_mask = 0) const;
 
     /** Number of surviving (non-retired) banks. */
-    int healthyCount(uint32_t retired_mask) const;
-
-    /** @} */
+    int healthyCount(uint32_t retired_mask = 0) const;
 
   private:
-    /** Physical index of the rank-th healthy bank; -1 when absent. */
-    int nthHealthy(int rank, uint32_t retired_mask) const;
-
     int banks;
 };
 

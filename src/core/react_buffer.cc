@@ -83,10 +83,7 @@ ReactBuffer::attachFaultInjector(sim::FaultInjector *injector)
 int
 ReactBuffer::retiredBankCount() const
 {
-    int n = 0;
-    for (int i = 0; i < bankCount(); ++i)
-        n += (retiredMask & (1u << i)) != 0 ? 1 : 0;
-    return n;
+    return bankCount() - policy.healthyCount(retiredMask);
 }
 
 Volts
@@ -244,7 +241,7 @@ ReactBuffer::actuateBank(int index, BankState target)
     const size_t i = static_cast<size_t>(index);
     const BankState from = bank.state();
     const Volts v_before = bank.terminalVoltage();
-    const double n = static_cast<double>(bank.spec().count);
+    const double n = static_cast<double>(bank.count());
 
     bool moved = false;
     if (faults->switchActuates(switchNames[i])) {
@@ -409,10 +406,7 @@ ReactBuffer::restoreFramRecord()
     if (valid) {
         const uint32_t mask = loadLe32(framImage.data() + 2);
         const int lv = framImage[1];
-        const uint32_t mask_limit = bankCount() >= 32
-            ? 0xffffffffu
-            : (1u << bankCount()) - 1u;
-        valid = (mask & ~mask_limit) == 0 && lv <= policy.maxLevel(mask);
+        valid = onLadder(lv, mask);
         if (valid) {
             retiredMask = mask;
             level = lv;
@@ -429,6 +423,16 @@ ReactBuffer::restoreFramRecord()
     ++framRecoveryCount;
     faults->recordEvent(sim::FaultEventKind::FramRecovery, "react.fram");
     persistFramRecord();
+}
+
+bool
+ReactBuffer::onLadder(int lv, uint32_t mask) const
+{
+    const uint32_t mask_limit = bankCount() >= 32
+        ? 0xffffffffu
+        : (1u << bankCount()) - 1u;
+    return (mask & ~mask_limit) == 0 && lv >= 0 &&
+        lv <= policy.maxLevel(mask);
 }
 
 void
@@ -692,12 +696,21 @@ ReactBuffer::restore(snapshot::SnapshotReader &r)
     agingAccumulator = Seconds(r.f64());
     transitionCount = r.u64();
     retiredMask = r.u32();
+    if (!onLadder(level, retiredMask))
+        throw snapshot::SnapshotError(
+            "react-buffer snapshot: level " + std::to_string(level) +
+            " is off the ladder");
     framRecoveryCount = static_cast<int>(r.u32());
     for (BankWatch &bw : watch) {
         bw.mismatch = static_cast<int>(r.u32());
         bw.floating = static_cast<int>(r.u32());
         bw.pending = r.b();
-        bw.pendingTarget = static_cast<BankState>(r.u8());
+        const uint8_t target = r.u8();
+        if (target > static_cast<uint8_t>(BankState::Parallel))
+            throw snapshot::SnapshotError(
+                "react-buffer snapshot: unknown pending bank state " +
+                std::to_string(target));
+        bw.pendingTarget = static_cast<BankState>(target);
     }
     framImage = r.bytes();
 }

@@ -162,6 +162,10 @@ class ReactBuffer final : public buffer::EnergyBuffer
      *  default (level 0, no retirements) and log the recovery. */
     void restoreFramRecord();
 
+    /** Whether @p mask names only existing banks and @p lv is a rung
+     *  of the ladder it leaves. */
+    bool onLadder(int lv, uint32_t mask) const;
+
     ReactConfig cfg;
     BankPolicy policy;
     sim::Capacitor lastLevel;

@@ -298,13 +298,9 @@ finalizeExperiment(ExperimentRun &run)
     // the benchmark make delivery ids part of the fingerprint.
     snapshot::SnapshotWriter dw;
     dw.beginSection("digest");
-    run.gate.save(dw);
-    run.device.save(dw);
-    buffer.save(dw);
-    if (benchmark)
-        benchmark->save(dw);
-    if (injector)
-        injector->save(dw);
+    run.forEachComponent([&](const char *, auto &component) {
+        component.save(dw);
+    });
     dw.endSection();
     const std::vector<uint8_t> image = dw.finish();
     result.stateDigest = crc32(image.data(), image.size());
@@ -352,25 +348,11 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
             w.f64(result.onTime);
             saveRail(w, result.rail);
             w.endSection();
-            w.beginSection("gate");
-            run.gate.save(w);
-            w.endSection();
-            w.beginSection("device");
-            run.device.save(w);
-            w.endSection();
-            w.beginSection("buffer");
-            buffer.save(w);
-            w.endSection();
-            if (benchmark) {
-                w.beginSection("benchmark");
-                benchmark->save(w);
+            run.forEachComponent([&](const char *name, auto &component) {
+                w.beginSection(name);
+                component.save(w);
                 w.endSection();
-            }
-            if (run.injector) {
-                w.beginSection("injector");
-                run.injector->save(w);
-                w.endSection();
-            }
+            });
         }
         std::string err;
         if (!snapshot::saveSnapshotFile(config.checkpointPath, w.finish(),
@@ -426,25 +408,12 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
                 result.onTime = r.f64();
                 restoreRail(r, &result.rail);
                 r.endSection();
-                r.beginSection("gate");
-                run.gate.restore(r);
-                r.endSection();
-                r.beginSection("device");
-                run.device.restore(r);
-                r.endSection();
-                r.beginSection("buffer");
-                buffer.restore(r);
-                r.endSection();
-                if (benchmark) {
-                    r.beginSection("benchmark");
-                    benchmark->restore(r);
-                    r.endSection();
-                }
-                if (run.injector) {
-                    r.beginSection("injector");
-                    run.injector->restore(r);
-                    r.endSection();
-                }
+                run.forEachComponent(
+                    [&](const char *name, auto &component) {
+                        r.beginSection(name);
+                        component.restore(r);
+                        r.endSection();
+                    });
                 result.resumed = true;
             } catch (const snapshot::SnapshotError &e) {
                 // A structurally mismatched snapshot may have touched

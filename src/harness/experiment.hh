@@ -254,6 +254,25 @@ struct ExperimentRun
         return t >= traceEnd && (settled || t >= hardEnd);
     }
 
+    /**
+     * Call f(name, component) for every component whose state a
+     * checkpoint carries, in snapshot order: gate, device, buffer, then
+     * the benchmark and the fault injector when present.  Checkpoint
+     * writes, resume and the final state digest all walk this one list.
+     */
+    template <typename F>
+    void
+    forEachComponent(F &&f)
+    {
+        f("gate", gate);
+        f("device", device);
+        f("buffer", buffer);
+        if (benchmark)
+            f("benchmark", *benchmark);
+        if (injector)
+            f("injector", *injector);
+    }
+
     buffer::EnergyBuffer &buffer;
     workload::Benchmark *const benchmark;
     const harvest::HarvesterFrontend &frontend;

@@ -134,14 +134,12 @@ struct Server::Impl
         std::vector<uint8_t> resultBytes;
         std::string errorMessage;
         Clock::time_point submittedAt;
-        uint64_t doneTick = 0;
     };
     std::mutex jobsLock;
     std::condition_variable jobsCv;
     std::unordered_map<uint64_t, Job> jobs;
     std::deque<uint64_t> pending;
     std::deque<uint64_t> doneOrder;
-    uint64_t doneTicks = 0;
     /** Jobs currently Queued or Running, maintained at every lifecycle
      *  transition (under jobsLock).  DrainOk reports this count on the
      *  wire; deriving it by iterating the unordered job table would put
@@ -203,6 +201,13 @@ struct Server::Impl
 
     // ---- protocol -------------------------------------------------
     void handleFrame(Connection *conn, const Frame &frame);
+    /** Read a Hello's version; on a mismatch queue the typed error and
+     *  close the connection.  @return true when the versions match. */
+    bool acceptHello(Connection *conn, WireReader &r);
+    /** Queue @p job (new, or revived from Expired) for @p spec, restart
+     *  its deadline clock and answer Submitted(Queued) (jobsLock). */
+    void enqueueJob(Connection *conn, uint64_t id, Job &job,
+                    const JobSpec &spec);
     /** Queue Submitted(@p id, @p state) and remember what was told. */
     void sendSubmitted(Connection *conn, uint64_t id, JobState state);
     /** Answer a Poll for @p id with the job's current state
@@ -313,7 +318,6 @@ Server::Impl::expireIfLate(Job &job, uint64_t id, Clock::time_point now)
         return false;
     job.state = JobState::Expired;
     job.errorMessage = "deadline expired in queue";
-    job.doneTick = ++doneTicks;
     doneOrder.push_back(id);
     ++stats.jobsExpired;
     --inFlightJobs;
@@ -406,7 +410,6 @@ Server::Impl::workerLoop()
                     job.errorMessage = error;
                     ++stats.jobsFailed;
                 }
-                job.doneTick = ++doneTicks;
                 doneOrder.push_back(id);
                 --inFlightJobs;
                 evictOverflow();
@@ -461,6 +464,34 @@ Server::Impl::flushConnection(Connection *conn)
     }
     conn->outbuf.clear();
     conn->outCursor = 0;
+}
+
+bool
+Server::Impl::acceptHello(Connection *conn, WireReader &r)
+{
+    const uint32_t version = r.u32();
+    r.expectEnd();
+    if (version == kProtocolVersion)
+        return true;
+    sendFrame(conn, makeError("protocol version mismatch: want " +
+                              std::to_string(kProtocolVersion)));
+    conn->closing = true;
+    return false;
+}
+
+void
+Server::Impl::enqueueJob(Connection *conn, uint64_t id, Job &job,
+                         const JobSpec &spec)
+{
+    job.spec = spec;
+    job.state = JobState::Queued;
+    job.errorMessage.clear();
+    job.submittedAt = wallNow();
+    pending.push_back(id);
+    ++inFlightJobs;
+    ++stats.jobsSubmitted;
+    jobsCv.notify_one();
+    sendSubmitted(conn, id, JobState::Queued);
 }
 
 void
@@ -538,15 +569,8 @@ Server::Impl::handleFrame(Connection *conn, const Frame &frame)
     if (!conn->authenticated) {
         switch (static_cast<MsgType>(frame.type)) {
           case MsgType::Hello: {
-            const uint32_t version = r.u32();
-            r.expectEnd();
-            if (version != kProtocolVersion) {
-                sendFrame(conn,
-                          makeError("protocol version mismatch: want " +
-                                    std::to_string(kProtocolVersion)));
-                conn->closing = true;
+            if (!acceptHello(conn, r))
                 return;
-            }
             conn->nonce = nonces.next();
             conn->challenged = true;
             sendFrame(conn, makeAuthChallenge(conn->nonce.data(),
@@ -589,18 +613,10 @@ Server::Impl::handleFrame(Connection *conn, const Frame &frame)
         releaseHold(conn, wallNow());
     }
     switch (static_cast<MsgType>(frame.type)) {
-      case MsgType::Hello: {
-        const uint32_t version = r.u32();
-        r.expectEnd();
-        if (version != kProtocolVersion) {
-            sendFrame(conn, makeError("protocol version mismatch: want " +
-                                      std::to_string(kProtocolVersion)));
-            conn->closing = true;
-            return;
-        }
-        sendFrame(conn, makeHelloOk());
+      case MsgType::Hello:
+        if (acceptHello(conn, r))
+            sendFrame(conn, makeHelloOk());
         return;
-      }
       case MsgType::Ping:
         r.expectEnd();
         sendFrame(conn, makePong());
@@ -628,21 +644,12 @@ Server::Impl::handleFrame(Connection *conn, const Frame &frame)
         }
         const uint64_t id = spec.jobId();
         std::lock_guard<std::mutex> g(jobsLock);
-        auto it = jobs.find(id);
-        if (it == jobs.end()) {
-            Job job;
-            job.spec = spec;
-            job.state = JobState::Queued;
-            job.submittedAt = wallNow();
-            jobs.emplace(id, std::move(job));
-            pending.push_back(id);
-            ++inFlightJobs;
-            ++stats.jobsSubmitted;
-            jobsCv.notify_one();
-            sendSubmitted(conn, id, JobState::Queued);
+        const auto [it, fresh] = jobs.try_emplace(id);
+        Job &job = it->second;
+        if (fresh) {
+            enqueueJob(conn, id, job, spec);
             return;
         }
-        Job &job = it->second;
         switch (job.state) {
           case JobState::Done:
             ++stats.cacheHits;
@@ -654,15 +661,7 @@ Server::Impl::handleFrame(Connection *conn, const Frame &frame)
             return;
           case JobState::Expired:
             // A fresh submission restarts the deadline clock.
-            job.state = JobState::Queued;
-            job.spec = spec;
-            job.errorMessage.clear();
-            job.submittedAt = wallNow();
-            pending.push_back(id);
-            ++inFlightJobs;
-            ++stats.jobsSubmitted;
-            jobsCv.notify_one();
-            sendSubmitted(conn, id, JobState::Queued);
+            enqueueJob(conn, id, job, spec);
             return;
           case JobState::Queued:
           case JobState::Running:

@@ -66,8 +66,19 @@ Capacitor::save(snapshot::SnapshotWriter &w) const
 void
 Capacitor::restore(snapshot::SnapshotReader &r)
 {
-    partSpec.capacitance = Farads(r.f64());
-    v = Volts(r.f64());
+    const Farads capacitance(r.f64());
+    restoreState(capacitance, Volts(r.f64()));
+}
+
+void
+Capacitor::restoreState(Farads capacitance, Volts voltage)
+{
+    if (!units::isfinite(capacitance) || capacitance <= Farads(0))
+        throw snapshot::SnapshotError("capacitor snapshot: bad capacitance");
+    if (!units::isfinite(voltage) || voltage < Volts(0))
+        throw snapshot::SnapshotError("capacitor snapshot: bad voltage");
+    partSpec.capacitance = capacitance;
+    v = voltage;
     rebuildLeakCache();
 }
 

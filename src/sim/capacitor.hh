@@ -155,6 +155,16 @@ class Capacitor
     void save(snapshot::SnapshotWriter &w) const;
     void restore(snapshot::SnapshotReader &r);
 
+    /**
+     * Adopt a checkpointed capacitance and voltage: restore() after its
+     * reads, for owners that serialize the two in their own layout.
+     *
+     * @throws snapshot::SnapshotError, leaving the capacitor untouched,
+     *         on a non-finite or non-positive capacitance or a
+     *         non-finite or negative voltage.
+     */
+    void restoreState(Farads capacitance, Volts voltage);
+
   private:
     CapacitorSpec partSpec;
     Volts v{0.0};

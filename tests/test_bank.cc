@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/bank.hh"
 #include "core/bank_policy.hh"
 #include "core/react_config.hh"
+#include "snapshot/snapshot.hh"
 #include "util/units.hh"
 
 namespace react {
@@ -144,10 +146,51 @@ TEST(Bank, LeakAndClip)
     EXPECT_GT(clipped.raw(), 0.0);
 }
 
+TEST(Bank, RestoreRejectsUnrepresentableFields)
+{
+    // CRC-valid "bank" sections whose fields no bank can hold.  State 3
+    // (no such arrangement) would otherwise decode as a connected bank
+    // with a 0 F terminal; the others would reach the unit's asserting
+    // setters.
+    struct Section
+    {
+        uint8_t state;
+        double voltage;
+        double capacitance;
+    };
+    const double inf = std::numeric_limits<double>::infinity();
+    const Section bad[] = {
+        {3, 1.0, 1e-3},   {1, -1.0, 1e-3}, {1, std::nan(""), 1e-3},
+        {1, inf, 1e-3},   {1, 1.0, 0.0},   {1, 1.0, -1e-3},
+        {1, 1.0, inf},
+    };
+    for (const Section &sec : bad) {
+        snapshot::SnapshotWriter w;
+        w.beginSection("bank");
+        w.u8(sec.state);
+        w.f64(sec.voltage);
+        w.f64(sec.capacitance);
+        w.endSection();
+        CapacitorBank bank(makeSpec(3, Farads(220e-6)));
+        bank.setUnitVoltage(Volts(1.5));
+        snapshot::SnapshotReader r(w.finish());
+        r.beginSection("bank");
+        EXPECT_THROW(bank.restore(r), snapshot::SnapshotError)
+            << "state " << int(sec.state) << " v " << sec.voltage
+            << " c " << sec.capacitance;
+        // Nothing was assigned before the throw.
+        EXPECT_EQ(bank.state(), BankState::Disconnected);
+        EXPECT_EQ(bank.unitVoltage().raw(), 1.5);
+        EXPECT_EQ(bank.storedEnergy().raw(),
+                  3.0 * units::capEnergy(Farads(220e-6), Volts(1.5)).raw());
+    }
+}
+
 TEST(BankPolicy, LevelMapping)
 {
     BankPolicy policy(3);
     EXPECT_EQ(policy.maxLevel(), 6);
+    EXPECT_EQ(policy.healthyCount(), 3);
     // Level 0: everything disconnected.
     for (int b = 0; b < 3; ++b)
         EXPECT_EQ(policy.stateForLevel(b, 0), BankState::Disconnected);
@@ -158,18 +201,19 @@ TEST(BankPolicy, LevelMapping)
     // Level 6: everything parallel.
     for (int b = 0; b < 3; ++b)
         EXPECT_EQ(policy.stateForLevel(b, 6), BankState::Parallel);
-}
 
-TEST(BankPolicy, RaiseLowerTargets)
-{
-    BankPolicy policy(2);
-    EXPECT_EQ(policy.bankChangedByRaise(0), 0);
-    EXPECT_EQ(policy.bankChangedByRaise(1), 0);
-    EXPECT_EQ(policy.bankChangedByRaise(2), 1);
-    EXPECT_EQ(policy.bankChangedByRaise(4), -1);
-    EXPECT_EQ(policy.bankChangedByLower(0), -1);
-    EXPECT_EQ(policy.bankChangedByLower(4), 1);
-    EXPECT_EQ(policy.bankChangedByLower(1), 0);
+    // Bank 1 retired: the ladder closes over banks 0 and 2, and bank 2
+    // takes the slots bank 1 owned.
+    const uint32_t mask = 0b010;
+    EXPECT_EQ(policy.healthyCount(mask), 2);
+    EXPECT_EQ(policy.maxLevel(mask), 4);
+    EXPECT_EQ(policy.stateForLevel(0, 3, mask), BankState::Parallel);
+    EXPECT_EQ(policy.stateForLevel(1, 3, mask), BankState::Disconnected);
+    EXPECT_EQ(policy.stateForLevel(2, 3, mask), BankState::Series);
+    for (int lv = 0; lv <= 4; ++lv)
+        EXPECT_EQ(policy.stateForLevel(1, lv, mask),
+                  BankState::Disconnected);
+    EXPECT_EQ(policy.stateForLevel(2, 4, mask), BankState::Parallel);
 }
 
 TEST(ReactConfig, PaperTable1Inventory)

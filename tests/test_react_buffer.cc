@@ -10,6 +10,9 @@
 #include <cmath>
 
 #include "core/react_buffer.hh"
+#include "snapshot/snapshot.hh"
+#include "util/byte_codec.hh"
+#include "util/crc32.hh"
 #include "util/rng.hh"
 #include "util/units.hh"
 
@@ -248,6 +251,55 @@ TEST(ReactBuffer, ResetRestoresColdStart)
     EXPECT_DOUBLE_EQ(buf.storedEnergy().raw(), 0.0);
     EXPECT_EQ(buf.capacitanceLevel(), 0);
     EXPECT_DOUBLE_EQ(buf.ledger().harvested.raw(), 0.0);
+}
+
+TEST(ReactBuffer, RestoreRejectsStateOffTheLadder)
+{
+    // CRC-valid "buffer" sections holding a controller level past the
+    // top of the ladder, or a pending switch target that is no
+    // BankState.  Restoring either used to succeed, and the next poll
+    // then tripped an assertion instead of the run cold-starting.
+    ReactBuffer source;
+    snapshot::SnapshotWriter w;
+    w.beginSection("buffer");
+    source.save(w);
+    w.endSection();
+    const std::vector<uint8_t> image = w.finish();
+    // Header 12 B, then the section's name length, name and u64 payload
+    // length.  The payload holds the ledger (64 B), the last level
+    // (16 B), the bank count (4 B) and 17 B per bank before the level.
+    const size_t payload = 12 + 1 + 6 + 8;
+    const size_t level_at = payload + 84 + 17 * source.bankCount();
+    // Level, requested level, backendOn, two accumulators, transition
+    // count, retired mask and FRAM recoveries take 41 B; bank 0's
+    // watchdog record then puts its pending target 9 B in.
+    const size_t target0_at = level_at + 41 + 9;
+
+    const auto restoreLie = [&](size_t at, uint32_t value, bool word) {
+        std::vector<uint8_t> lie = image;
+        if (word)
+            storeLe32(lie.data() + at, value);
+        else
+            lie[at] = static_cast<uint8_t>(value);
+        storeLe32(lie.data() + lie.size() - 4,
+                  crc32(lie.data() + 12, lie.size() - 4 - 12));
+        ReactBuffer target;
+        snapshot::SnapshotReader r(std::move(lie));
+        r.beginSection("buffer");
+        target.restore(r);
+        r.endSection();
+    };
+    // The offsets are right: the level and target read back unchanged.
+    EXPECT_NO_THROW(restoreLie(level_at, 0, true));
+    EXPECT_NO_THROW(restoreLie(target0_at, 0, false));
+    EXPECT_THROW(restoreLie(level_at,
+                            static_cast<uint32_t>(
+                                source.maxCapacitanceLevel() + 1),
+                            true),
+                 snapshot::SnapshotError);
+    EXPECT_THROW(restoreLie(level_at, 0xffffffffu, true),
+                 snapshot::SnapshotError);
+    EXPECT_THROW(restoreLie(target0_at, 3, false), snapshot::SnapshotError);
 }
 
 TEST(ReactBuffer, LedgerConservationUnderMixedDrive)

@@ -14,6 +14,7 @@
 #include "sim/diode.hh"
 #include "sim/energy_ledger.hh"
 #include "sim/power_gate.hh"
+#include "snapshot/snapshot.hh"
 #include "util/units.hh"
 
 namespace react {
@@ -55,6 +56,31 @@ TEST(Capacitor, CurrentIntegration)
     for (int i = 0; i < 1000; ++i)
         cap.applyCurrent(Amps(1e-3), Seconds(1e-3));
     EXPECT_NEAR(cap.voltage().raw(), 10.0, 1e-9);
+}
+
+TEST(Capacitor, RestoreRejectsUnrepresentableState)
+{
+    // CRC-valid sections a capacitor cannot hold: restoring a 0 F
+    // capacitance used to succeed, and the next step's NaN voltage then
+    // tripped setVoltage's assertion instead of the run cold-starting.
+    const double bad[][2] = {
+        {0.0, 1.0}, {-1e-3, 1.0}, {std::nan(""), 1.0},
+        {1e-3, -1.0}, {1e-3, HUGE_VAL},
+    };
+    for (const auto &fields : bad) {
+        snapshot::SnapshotWriter w;
+        w.beginSection("cap");
+        w.f64(fields[0]);
+        w.f64(fields[1]);
+        w.endSection();
+        Capacitor cap(spec(Farads(1e-3)), Volts(2.0));
+        snapshot::SnapshotReader r(w.finish());
+        r.beginSection("cap");
+        EXPECT_THROW(cap.restore(r), snapshot::SnapshotError)
+            << "c " << fields[0] << " v " << fields[1];
+        EXPECT_EQ(cap.capacitance().raw(), 1e-3);
+        EXPECT_EQ(cap.voltage().raw(), 2.0);
+    }
 }
 
 TEST(Capacitor, VoltageNeverNegative)
