@@ -253,11 +253,6 @@ emitCacheStats(JsonWriter &w)
     w.field("transfer_hit_rate",
             sim::hotloop::hitRate(c.transferCacheHits,
                                   c.transferCacheMisses));
-    w.field("schottky_hits", c.schottkyCacheHits);
-    w.field("schottky_misses", c.schottkyCacheMisses);
-    w.field("schottky_hit_rate",
-            sim::hotloop::hitRate(c.schottkyCacheHits,
-                                  c.schottkyCacheMisses));
     w.endObject();
 }
 
@@ -496,13 +491,10 @@ main(int argc, char **argv)
                     table2.wallSeconds);
     }
     const auto &c = sim::hotloop::counters();
-    std::printf("cache hit rates: leak %.3f, transfer %.3f, "
-                "schottky %.3f\n",
+    std::printf("cache hit rates: leak %.3f, transfer %.3f\n",
                 sim::hotloop::hitRate(c.leakCacheHits, c.leakCacheMisses),
                 sim::hotloop::hitRate(c.transferCacheHits,
-                                      c.transferCacheMisses),
-                sim::hotloop::hitRate(c.schottkyCacheHits,
-                                      c.schottkyCacheMisses));
+                                      c.transferCacheMisses));
     std::printf("artifact: %s\n", json_path.c_str());
     if (!quick && lane.divergent != 0) {
         std::fprintf(stderr, "\n%zu of %zu lane-engine cells diverged "

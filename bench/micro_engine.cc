@@ -215,7 +215,6 @@ runAllocationAudit()
                 stepper.step();
                 benchmark::DoNotOptimize(stepper.voltage(0));
             }
-            stepper.setLaneCapacitance(0, 9.9e-3, 0.9999999);
             stepper.freezeLane(1);
             stepper.step();
             const char *name = kernel == sim::simd::Kernel::Avx512

@@ -37,33 +37,25 @@ StaticBuffer::StaticBuffer(const sim::CapacitorSpec &spec, Volts rail_clamp,
                  "rail clamp cannot exceed the capacitor rating");
 }
 
-bool
-StaticBuffer::laneAgingEnabled() const
-{
-    return faults != nullptr &&
-        faults->plan().capacitanceFadePerHour > 0.0;
-}
-
 void
-StaticBuffer::laneStepAging(Seconds dt)
+StaticBuffer::ageDielectric(Seconds dt)
 {
-    // Dielectric aging (fault injection only; 10 Hz update cadence
-    // vastly oversamples hour-scale fade).
-    if (laneAgingEnabled()) {
-        agingAccumulator += dt;
-        if (agingAccumulator >= Seconds(0.1)) {
-            agingAccumulator = Seconds(0.0);
-            energyLedger.faultLoss += cap.setCapacitance(
-                baseCapacitance * faults->capacitanceFactor("static.cap"));
-        }
+    // 10 Hz update cadence vastly oversamples hour-scale fade.
+    agingAccumulator += dt;
+    if (agingAccumulator >= Seconds(0.1)) {
+        agingAccumulator = Seconds(0.0);
+        energyLedger.faultLoss += cap.setCapacitance(
+            baseCapacitance * faults->capacitanceFactor("static.cap"));
     }
 }
 
 void
 StaticBuffer::step(Seconds dt, Watts input_power, Amps load_current)
 {
-    // 0. Dielectric aging.
-    laneStepAging(dt);
+    // 0. Dielectric aging (fault injection only).
+    if (faults != nullptr &&
+        faults->plan().capacitanceFadePerHour > 0.0)
+        ageDielectric(dt);
 
     // 1. Self-discharge.
     energyLedger.leaked += cap.leak(dt);

@@ -48,32 +48,31 @@ class StaticBuffer final : public EnergyBuffer
     /**
      * @name Lane-engine seam (harness/batch_runner.cc)
      *
-     * The batch stepper owns the per-step physics while a cell runs in
-     * a SIMD lane; the buffer object stays the source of truth for
-     * everything else (aging bookkeeping, fault attachment, snapshot
-     * layout).  The driver syncs the lane voltage back through
-     * laneCapacitor() before any observer can read the buffer, and
-     * writes the lane ledger totals back at finalization, so save() and
-     * ledger() report exactly what per-cell stepping would have.
+     * The batch stepper owns the per-step physics while a fault-free
+     * cell runs in a SIMD lane; the buffer object stays the source of
+     * truth for everything else (snapshot layout, finalization reads).
+     * The batch runner reads the lane constants through
+     * laneCapacitor() at admission, syncs the lane voltage back through
+     * it before any observer can read the buffer, and writes the lane
+     * ledger totals back at finalization, so save() and ledger() report
+     * exactly what per-cell stepping would have.
      * @{
      */
-    /** The rail capacitor (lane voltage sync + aging resync reads). */
+    /** The rail capacitor (admission reads + lane voltage sync). */
     sim::Capacitor &laneCapacitor() { return cap; }
-    const sim::Capacitor &laneCapacitor() const { return cap; }
     /** Mutable ledger (lane accumulator write-back at finalization). */
     sim::EnergyLedger &laneLedger() { return energyLedger; }
-    /** Does step() run the dielectric-aging phase for this buffer? */
-    bool laneAgingEnabled() const;
-    /** Step phase 0 (dielectric aging) alone, on the current capacitor
-     *  voltage; the fault-loss delta books into this buffer's ledger
-     *  exactly as a full step() would. */
-    void laneStepAging(Seconds dt);
     /** @} */
 
     void save(snapshot::SnapshotWriter &w) const override;
     void restore(snapshot::SnapshotReader &r) override;
 
   private:
+    /** Step phase 0 under a fading fault plan.  Out of line and cold:
+     *  inlined, its component-name temporary would widen every
+     *  fault-free step's frame. */
+    [[gnu::cold]] void ageDielectric(Seconds dt);
+
     sim::Capacitor cap;
     Volts clamp;
     std::string label;

@@ -76,14 +76,11 @@ struct Lane
      *  loop sweeps it linearly, no per-step trace/converter work). */
     std::vector<trace::StepSpan> spans;
     size_t spanIdx = 0;
-    /** The current span's power, the injector filter's input. */
-    double spanPower = 0.0;
-    double nextRecord = 0.0;
 };
 
 /** The lane voltage is the compute truth while a cell is batched; sync
  *  it into the buffer object before anything can observe the buffer
- *  (benchmark hooks, aging, finalization). */
+ *  (benchmark hooks, gate-edge hooks, finalization). */
 inline void
 syncLaneVoltage(Lane &lane, const sim::BatchStepper &stepper, int slot)
 {
@@ -97,10 +94,14 @@ syncLaneVoltage(Lane &lane, const sim::BatchStepper &stepper, int slot)
  * refills with the next queued cell, so all lanes stay busy until the
  * queue drains.
  *
- * The control plane is *event-driven*: a lane that is gate-off with no
- * injector, no aging, and no rail recording has nothing to do until
- * its next control event, and those events are all predictable or
- * detectable in O(1) per step without touching the lane --
+ * Admission takes only fault-free, unrecorded static cells
+ * (batchAdmissible), so a lane's whole control plane is the gate
+ * latch, the benchmark tick, the span roll, and the exit test.
+ *
+ * The control plane is *event-driven*: a gate-off lane has nothing to
+ * do until its next control event, and those events are all
+ * predictable or detectable in O(1) per step without touching the
+ * lane --
  *
  *  - gate threshold crossings come out of the lane bank's vector
  *    compare (transitionMask) whether the lane is serviced or not;
@@ -121,9 +122,7 @@ syncLaneVoltage(Lane &lane, const sim::BatchStepper &stepper, int slot)
  * conservative lower bounds, never exact.
  *
  * Gate-on lanes never sleep (the benchmark ticks every on-step, and
- * on-time accounting replays runExperiment's per-step accumulation),
- * nor do injector, aging, or rail-recording lanes (per-step
- * randomness, per-step capacitance drift, per-step sampling).
+ * on-time accounting replays runExperiment's per-step accumulation).
  *
  * Physics always advances every lane (sleep elides control work
  * only); when at most two cells remain live the full-width vector
@@ -156,8 +155,6 @@ class Engine
             acc = next;
             ++settleSteps;
         }
-        recordAllMask =
-            config.recordRail ? static_cast<uint8_t>(0xFF) : 0;
         // Unoccupied slots must never pull the global next-wake point
         // down (their clocks advance as garbage).
         for (int s = 0; s < kLanes; ++s)
@@ -206,18 +203,15 @@ class Engine
      *  its gate is on.  (Off lanes accumulate nothing -- their
      *  off-streak is implicit in steps - lastOnStep.) */
     void svcWorkload(int s);
-    /** Rail recording, then ExperimentRun::finished with the lane's
-     *  integer settle count (recording precedes the exit, so a
-     *  finishing step's sample is captured).  Returns true when the
-     *  lane's experiment is over. */
+    /** ExperimentRun::finished with the lane's integer settle count.
+     *  Returns true when the lane's experiment is over. */
     bool svcBookkeeping(int s);
     /** Advance lane @p s to its next precompiled power span. */
     void rollSpan(int s);
     /** The control head of one lane, for the step at hot.t[s]: latch
-     *  the gate (one precomputed compare pair per mirrored lane via
-     *  @p flips) and hand a transition to ExperimentRun::gateEdge, roll
-     *  the power span when due, advance the injector, run dielectric
-     *  aging -- then re-arm the lane's wake targets.  Load re-queries
+     *  the gate (one precomputed compare pair per lane via @p flips)
+     *  and hand a transition to ExperimentRun::gateEdge, roll the power
+     *  span when due -- then re-arm the lane's wake targets.  Load re-queries
      *  are deferred to flushLoads (lanes are independent, so querying
      *  a lane's settled device after its batch mates' control work
      *  reads the same value). */
@@ -243,21 +237,14 @@ class Engine
     Hot hot;
     /** Steps that make runExperiment's off-streak reach settleTime. */
     uint64_t settleSteps = 0;
-    /** 0xFF when rail recording keeps every lane awake. */
-    uint8_t recordAllMask = 0;
     /** Slots holding a running lane. */
     uint8_t occupied = 0;
-    /** Lanes owning a fault injector (per-step authoritative gate +
-     *  harvest filtering; never mirrored in the bank). */
-    uint8_t injectorMask = 0;
     /** Lanes with a benchmark attached. */
     uint8_t benchMask = 0;
     /** Benchmark lanes whose tick() observes the buffer
      *  (Benchmark::tickObservesBuffer): only these need the lane
      *  voltage synced into the buffer object before every tick. */
     uint8_t tickSyncMask = 0;
-    /** Lanes with dielectric aging enabled (scalar phase 0). */
-    uint8_t agingMask = 0;
     /** Lanes whose load current must be re-queried before the next
      *  physics step. */
     uint8_t dirtyMask = 0;
@@ -299,13 +286,6 @@ Engine::admit(int slot)
     bank.vBrownout[slot] = config.brownoutVoltage;
     bank.onMask &= static_cast<uint8_t>(~bit);
     occupied |= bit;
-    if (lane.run.injector) {
-        injectorMask |= bit;
-        bank.liveMask &= static_cast<uint8_t>(~bit);
-    } else {
-        injectorMask &= static_cast<uint8_t>(~bit);
-        bank.liveMask |= bit;
-    }
     if (cell.benchmark)
         benchMask |= bit;
     else
@@ -314,29 +294,22 @@ Engine::admit(int slot)
         tickSyncMask |= bit;
     else
         tickSyncMask &= static_cast<uint8_t>(~bit);
-    if (lane.buffer->laneAgingEnabled())
-        agingMask |= bit;
-    else
-        agingMask &= static_cast<uint8_t>(~bit);
 
     // Precompile the frontend into power spans (the per-step trace
     // index arithmetic and converter evaluation happen here, once per
     // distinct sample run, instead of once per step).
     cell.frontend->compileStepSpans(config.dt, lane.spans);
     lane.spanIdx = 0;
-    lane.spanPower = lane.spans[0].watts;
     hot.rollStep[slot] = lane.spans[0].steps == trace::StepSpan::kOpenEnded
         ? UINT64_MAX
         : 1 + lane.spans[0].steps;
-    if (!lane.run.injector)
-        stepper.setHarvestPower(slot, lane.spanPower);
+    stepper.setHarvestPower(slot, lane.spans[0].watts);
 
     hot.t[slot] = config.dt;
     hot.onTime[slot] = 0.0;
     hot.armT[slot] = lane.run.traceEnd;
     hot.steps[slot] = 1;
     hot.lastOnStep[slot] = 0;
-    lane.nextRecord = 0.0;
 
     // First-step control head (the classic loop head at t = dt) --
     // svcPre also computes the initial wake targets -- then the
@@ -356,9 +329,8 @@ Engine::retire(Lane &lane, int slot)
     result.onTime = hot.onTime[slot];
 
     // Write the lane physics state back: voltage, then the four ledger
-    // accumulators the kernel carried (faultLoss accrued directly on
-    // the buffer's ledger via laneStepAging; the rest were never
-    // touched, exactly as in per-cell stepping).  Then the finalization
+    // accumulators the kernel carried (the rest were never touched,
+    // exactly as in fault-free per-cell stepping).  Then the finalization
     // tail runExperiment shares; no finished-checkpoint write, since
     // admission requires an empty checkpointPath, where runExperiment
     // skips it too.
@@ -373,7 +345,6 @@ Engine::retire(Lane &lane, int slot)
     stepper.freezeLane(slot);
     hot.wakeStep[slot] = UINT64_MAX;
     const uint8_t bit = static_cast<uint8_t>(1u << slot);
-    bank.liveMask &= static_cast<uint8_t>(~bit);
     occupied &= static_cast<uint8_t>(~bit);
     dirtyMask &= static_cast<uint8_t>(~bit);
     slots[static_cast<size_t>(slot)].reset();
@@ -408,12 +379,9 @@ Engine::tickLane(int s)
 inline void
 Engine::svcWorkload(int s)
 {
-    const uint8_t bit = static_cast<uint8_t>(1u << s);
-    const bool on = (injectorMask & bit) != 0 ? slots[s]->run.gate.isOn()
-                                              : bank.isOn(s);
-    if (on) {
+    if (bank.isOn(s)) {
         tickLane(s);
-        dirtyMask |= static_cast<uint8_t>(bit & benchMask);
+        dirtyMask |= static_cast<uint8_t>((1u << s) & benchMask);
     }
 }
 
@@ -421,15 +389,6 @@ inline bool
 Engine::svcBookkeeping(int s)
 {
     Lane &lane = *slots[s];
-    if (config.recordRail && hot.t[s] >= lane.nextRecord) {
-        lane.nextRecord += config.recordInterval;
-        const uint8_t bit = static_cast<uint8_t>(1u << s);
-        const bool on = (injectorMask & bit) != 0 ? lane.run.gate.isOn()
-                                                  : bank.isOn(s);
-        lane.run.result.rail.push_back({hot.t[s], stepper.voltage(s), on,
-                                        lane.buffer->capacitanceLevel()});
-    }
-
     // The gate has been off settleTime once settleSteps consecutive off
     // steps have passed.
     if (lane.run.finished(hot.t[s],
@@ -447,34 +406,22 @@ Engine::rollSpan(int s)
 {
     Lane &lane = *slots[s];
     const trace::StepSpan &sp = lane.spans[++lane.spanIdx];
-    lane.spanPower = sp.watts;
     hot.rollStep[s] = sp.steps == trace::StepSpan::kOpenEnded
         ? UINT64_MAX
         : hot.rollStep[s] + sp.steps;
-    // An injector lane's harvest power is set per step, after filtering.
-    if ((injectorMask & (1u << s)) == 0)
-        stepper.setHarvestPower(s, sp.watts);
+    stepper.setHarvestPower(s, sp.watts);
 }
 
 inline void
 Engine::svcPre(int s, uint8_t flips)
 {
     const uint8_t bit = static_cast<uint8_t>(1u << s);
-
-    bool changed = false;
-    if ((injectorMask & bit) != 0) {
-        // Comparator reads consume injector randomness, so the
-        // authoritative gate runs every step, as in runExperiment.
-        changed =
-            slots[s]->run.gate.update(units::Volts(stepper.voltage(s)));
-    } else if ((flips & bit) != 0) {
-        changed =
+    if ((flips & bit) != 0) {
+        const bool changed =
             slots[s]->run.gate.update(units::Volts(stepper.voltage(s)));
         react_assert(changed, "gate bank flagged a transition the "
                               "authoritative gate did not take");
         bank.toggle(bit);
-    }
-    if (changed) {
         // Hooks may observe the buffer; give it the lane rail.
         syncLaneVoltage(*slots[s], stepper, s);
         slots[s]->run.gateEdge(hot.t[s]);
@@ -488,36 +435,11 @@ Engine::svcPre(int s, uint8_t flips)
     if (hot.steps[s] == hot.rollStep[s])
         rollSpan(s);
 
-    if ((injectorMask & bit) != 0) {
-        Lane &lane = *slots[s];
-        lane.run.injector->advance(units::Seconds(config.dt));
-        stepper.setHarvestPower(
-            s,
-            lane.run.injector->filterHarvest(units::Watts(lane.spanPower))
-                .raw());
-    }
-
-    // Step phase 0 (dielectric aging) runs scalar on the cell's own
-    // capacitor, then the lane constants resync.
-    if ((agingMask & bit) != 0) {
-        Lane &lane = *slots[s];
-        syncLaneVoltage(lane, stepper, s);
-        lane.buffer->laneStepAging(units::Seconds(config.dt));
-        const sim::Capacitor &cap = lane.buffer->laneCapacitor();
-        stepper.setLaneCapacitance(
-            s, cap.capacitance().raw(),
-            cap.leakDecayFor(units::Seconds(config.dt)));
-    }
-
-    // Re-arm the wake target.  A lane that cannot sleep -- gate on,
-    // injector, aging, or rail recording -- is in every step's wake
+    // Re-arm the wake target.  A gate-on lane is in every step's wake
     // set regardless, so it carries no target (and pays none of the
     // arithmetic below; the off transition that makes it sleepable is
     // itself a serviced step that re-arms it).
-    const bool awakeAnyway =
-        ((injectorMask | agingMask | recordAllMask) & bit) != 0 ||
-        bank.isOn(s);
-    if (awakeAnyway) {
+    if (bank.isOn(s)) {
         hot.wakeStep[s] = UINT64_MAX;
         return;
     }
@@ -629,15 +551,13 @@ Engine::run(BatchPhaseStats *stats)
         // -- an off lane's on-threshold (rail >= vEnable) is therefore
         // unreachable before the next serviced step (had a rail been
         // at or above it, the previous iteration's transition scan
-        // would have flipped the lane on), no lane needs per-step
-        // special machinery, and no integer wake target fires before
-        // nextWakeIter.  Every iteration until then is provably
-        // service-free, so run them as a tight physics-plus-clock
-        // loop with no transition scan and no wake bookkeeping.
-        if (canFast && (bank.onMask & occupied) == 0 &&
-            ((injectorMask | agingMask | recordAllMask) & occupied) == 0 &&
-            stepper.quiet() && nextWakeIter != UINT64_MAX &&
-            iter < nextWakeIter) {
+        // would have flipped the lane on), and no integer wake target
+        // fires before nextWakeIter.  Every iteration until then is
+        // provably service-free, so run them as a tight
+        // physics-plus-clock loop with no transition scan and no wake
+        // bookkeeping.
+        if (canFast && (bank.onMask & occupied) == 0 && stepper.quiet() &&
+            nextWakeIter != UINT64_MAX && iter < nextWakeIter) {
             const uint64_t n = nextWakeIter - iter;
             for (uint64_t k = 0; k < n; ++k) {
                 stepPhysics();
@@ -659,23 +579,21 @@ Engine::run(BatchPhaseStats *stats)
         if (timed)
             c1 = phaseTicks();
 
-        const uint8_t flips = bank.transitionMask(stepper.voltages());
+        // Unoccupied slots compare garbage rails; mask them off.
+        const uint8_t flips = static_cast<uint8_t>(
+            bank.transitionMask(stepper.voltages()) & occupied);
 
-        // Steady-state fast pass: with no gate flip, no integer wake
-        // due, and no lane needing per-step special machinery
-        // (injector randomness, aging drift, rail recording), an
-        // awake lane's whole service is tickLane, the span-roll check,
-        // and the load re-query -- the members svcWorkload and svcPre
-        // would call, with every branch they would not take
-        // pre-resolved.  Such a
-        // lane's wakeStep is already parked at UINT64_MAX (it went on
-        // through a serviced flip step), so no re-arm work exists
-        // either, and sleeping lanes' absolute due point is untouched.
-        // The pass bows out to the general path once any lane drains
-        // past its trace end (the exit checks then need the full
-        // bookkeeping sequence).
-        if (canFast && flips == 0 && iter < nextWakeIter &&
-            ((injectorMask | agingMask | recordAllMask) & occupied) == 0) {
+        // Steady-state fast pass: with no gate flip and no integer wake
+        // due, an awake lane's whole service is tickLane, the span-roll
+        // check, and the load re-query -- the members svcWorkload and
+        // svcPre would call, with every branch they would not take
+        // pre-resolved.  Such a lane's wakeStep is already parked at
+        // UINT64_MAX (it went on through a serviced flip step), so no
+        // re-arm work exists either, and sleeping lanes' absolute due
+        // point is untouched.  The pass bows out to the general path
+        // once any lane drains past its trace end (the exit checks then
+        // need the full bookkeeping sequence).
+        if (canFast && flips == 0 && iter < nextWakeIter) {
             const uint8_t on = bank.onMask & occupied;
             bool plain = true;
             for (uint8_t m = on; m != 0; m &= static_cast<uint8_t>(m - 1)) {
@@ -697,8 +615,8 @@ Engine::run(BatchPhaseStats *stats)
                     if (hot.steps[s] + 1 == hot.rollStep[s])
                         rollSpan(s);
                     // A tick is the only thing that can have moved the
-                    // backend load here (no flip, no injector); lanes
-                    // without a benchmark keep their settled current.
+                    // backend load here (no flip); lanes without a
+                    // benchmark keep their settled current.
                     if ((benchMask & (1u << s)) != 0)
                         stepper.setLoadCurrent(
                             s, slots[s]->run.device.current());
@@ -713,10 +631,9 @@ Engine::run(BatchPhaseStats *stats)
         }
 
         // Wake set: gate flips from the bank's vector compare, on
-        // lanes (per-step ticking), lanes that can never sleep, and --
-        // only at the precomputed global due point -- lanes whose
-        // integer wake target fired.  Unoccupied slots compute garbage
-        // compares and are masked off.
+        // lanes (per-step ticking), and -- only at the precomputed
+        // global due point -- lanes whose integer wake target fired.
+        // Unoccupied slots compute garbage compares and are masked off.
         uint8_t due = 0;
         if (iter >= nextWakeIter) {
             for (int s = 0; s < kLanes; ++s)
@@ -725,9 +642,7 @@ Engine::run(BatchPhaseStats *stats)
                     << s);
         }
         const uint8_t wake =
-            static_cast<uint8_t>((flips | bank.onMask | due | injectorMask |
-                                  agingMask | recordAllMask) &
-                                 occupied);
+            static_cast<uint8_t>((flips | bank.onMask | due) & occupied);
 
         if (wake != 0) {
             for (uint8_t m = wake; m != 0; m &= static_cast<uint8_t>(m - 1))
@@ -813,7 +728,9 @@ batchAdmissible(const buffer::EnergyBuffer &buffer,
         return false;
     if (config.haltAfterSteps > 0)
         return false;
-    return true;
+    // No lane-engine caller sends a fault plan or rail recording; both
+    // stay with runExperiment, the semantics reference.
+    return !config.faultPlan.enabled() && !config.recordRail;
 }
 
 void

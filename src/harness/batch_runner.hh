@@ -20,8 +20,7 @@
  *  - power-gate threshold checks run as a lane mask
  *    (sim::GateLaneBank): one compare pair per lane, with the
  *    authoritative PowerGate objects updated only on actual
- *    transitions (injector-observed gates keep per-step updates --
- *    comparator reads consume randomness);
+ *    transitions;
  *  - the backend load current is re-queried only when it can have
  *    changed (gate transitions and benchmark ticks), not every step;
  *  - the four physics phases run vectorized across all lanes at once
@@ -32,20 +31,19 @@
  *    lanes scalar instead of running the full-width kernel over
  *    frozen no-op lanes (BatchStepper::stepLane);
  *  - the per-lane control plane is *event-driven*: a gate-off lane
- *    with no injector, aging, or rail recording sleeps -- zero
- *    per-step control work beyond one shared clock advance and two
- *    SoA wake compares -- until a gate flip (caught by the bank's
- *    vector compare), its next span roll, its settle-exit step, or a
- *    trace-end/hard-end crossing, all of which are precomputed wake
- *    targets (see Engine in batch_runner.cc for the equivalence
- *    argument).
+ *    sleeps -- zero per-step control work beyond one shared clock
+ *    advance and two SoA wake compares -- until a gate flip (caught by
+ *    the bank's vector compare), its next span roll, its settle-exit
+ *    step, or a trace-end/hard-end crossing, all of which are
+ *    precomputed wake targets (see Engine in batch_runner.cc for the
+ *    equivalence argument).
  *
- * Every lane's result -- counters, ledger, rail recording,
- * conservation audit, and the CRC-32 stateDigest -- is bit-identical
- * to runExperiment() running that cell alone: the physics kernel
- * replays the exact scalar operation sequence, the span table replays
- * the exact per-step trace/converter arithmetic, and the control plane
- * is the same code -- each lane owns an ExperimentRun
+ * Every lane's result -- counters, ledger, conservation audit, and the
+ * CRC-32 stateDigest -- is bit-identical to runExperiment() running
+ * that cell alone: the physics kernel replays the exact scalar
+ * operation sequence, the span table replays the exact per-step
+ * trace/converter arithmetic, and the control plane is the same code
+ * -- each lane owns an ExperimentRun
  * (harness/experiment.hh) and calls its begin, gateEdge, tick and
  * finished steps, and finalizeExperiment, in runExperiment's order.
  * Only the settle count differs in form: an integer run of off steps
@@ -55,11 +53,11 @@
  * order provably do not affect any cell's numbers
  * (tests/test_batch_stepper.cc holds the proof).
  *
- * Admissibility: the lane engine covers the classic exact-stepping
- * configuration -- a StaticBuffer, no checkpointing, no simulated
- * crash.  Fault plans *are* admissible (each lane owns its injector,
- * and the aging phase runs scalar per lane).  Anything else falls back
- * to runExperiment, which remains the semantics reference.
+ * Admissibility: the lane engine covers the cells its callers send --
+ * the paper's fault-free static columns: a StaticBuffer, no fault
+ * plan, no rail recording, no checkpointing, no simulated crash.
+ * Anything else falls back to runExperiment, which remains the
+ * semantics reference.
  */
 
 #ifndef REACT_HARNESS_BATCH_RUNNER_HH
@@ -84,8 +82,8 @@ struct BatchCell
 
 /**
  * Can this buffer/config pair run on the lane engine bit-identically?
- * False for non-static buffers, any checkpoint/resume involvement, or a
- * simulated crash.
+ * False for non-static buffers, a fault plan, rail recording, any
+ * checkpoint/resume involvement, or a simulated crash.
  */
 bool batchAdmissible(const buffer::EnergyBuffer &buffer,
                      const ExperimentConfig &config);
@@ -104,15 +102,15 @@ bool batchAdmissible(const buffer::EnergyBuffer &buffer,
  */
 struct BatchPhaseStats
 {
-    /** Pre-physics control plane: span sweep, gate lane masks,
-     *  injector filtering, load refresh, aging resync. */
+    /** Pre-physics control plane: span sweep, gate lane masks, load
+     *  refresh. */
     uint64_t frontendNs = 0;
     /** The vectorized physics step (sim::BatchStepper::step). */
     uint64_t physicsNs = 0;
     /** Post-physics workload section: on-time accounting and
      *  benchmark ticks. */
     uint64_t workloadNs = 0;
-    /** Rail recording, exit checks, and lane finalization. */
+    /** Exit checks and lane finalization. */
     uint64_t bookkeepingNs = 0;
     /** Step-loop iterations timed. */
     uint64_t steps = 0;

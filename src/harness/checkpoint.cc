@@ -23,6 +23,10 @@ checkpointFileName(std::string_view cell_key)
 bool
 applyCheckpointEnv(ExperimentConfig *config, std::string_view cell_key)
 {
+    // A caller's explicit path wins (reactd names its snapshots by cell
+    // key *and* job id; the env's cell-key-only name would collide).
+    if (!config->checkpointPath.empty())
+        return false;
     const auto dir = env::stringVar("REACT_CHECKPOINT_DIR");
     if (!dir)
         return false;

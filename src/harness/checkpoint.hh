@@ -55,7 +55,8 @@ std::string checkpointFileName(std::string_view cell_key);
 /**
  * Apply the REACT_CHECKPOINT_DIR / REACT_CHECKPOINT_INTERVAL
  * environment to @p config for the cell named @p cell_key.  No-op
- * (returns false) when REACT_CHECKPOINT_DIR is unset or empty.
+ * (returns false) when REACT_CHECKPOINT_DIR is unset or empty, or when
+ * @p config already names a checkpointPath (an explicit path wins).
  */
 bool applyCheckpointEnv(ExperimentConfig *config,
                         std::string_view cell_key);

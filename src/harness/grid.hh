@@ -93,10 +93,12 @@ struct GridBatchCell
  * each cell's stable identity, never from batch composition or
  * admission order -- and every slot receives bit-identical numbers to
  * a runGridCell call.
- * Cells the lane engine cannot take (non-static buffers, checkpoint
- * env, or a Disabled kernel) fall back to runGridCell semantics inline.  @p kernel defaults to the process-wide REACT_SIMD
- * selection; benches that compare engines in one process (parallel_sweep's
- * lane_engine section) pass it explicitly.  @p stats, when non-null,
+ * Cells the lane engine cannot take (non-static buffers, a fault plan,
+ * rail recording, the checkpoint env -- see batchAdmissible -- or a
+ * Disabled kernel) fall back to runGridCell semantics inline.
+ * @p kernel defaults to the process-wide REACT_SIMD selection; benches
+ * that compare engines in one process (parallel_sweep's lane_engine
+ * section) pass it explicitly.  @p stats, when non-null,
  * accumulates the per-phase wall-time split of the streaming run (see
  * harness/batch_runner.hh; cells that fell back to runExperiment are not
  * timed) -- pass null for gated perf runs so the loop reads no clocks.

@@ -262,21 +262,6 @@ BatchStepper::reinitLane(int lane, const BatchLaneInit &init)
 }
 
 void
-BatchStepper::setLaneCapacitance(int lane, double capacitance,
-                                 double leak_decay)
-{
-    react_assert(capacitance > 0.0, "lane capacitance must be positive");
-    state.capacitance[lane] = capacitance;
-    state.halfC[lane] = 0.5 * capacitance;
-    state.decay[lane] = leak_decay;
-    // The cached load-phase quotient divides by the capacitance;
-    // refresh it for the new part (same operand sequence as the
-    // setter, so the bits match a per-step division).
-    state.dqOverCap[lane] =
-        (-(state.loadA[lane] * state.dt)) / capacitance;
-}
-
-void
 BatchStepper::stepLane(int lane)
 {
     react_assert(lane >= 0 && lane < kMaxLanes,

@@ -177,9 +177,6 @@ class BatchStepper
      */
     void reinitLane(int lane, const BatchLaneInit &init);
 
-    /** Admitted lanes (including frozen ones). */
-    int lanes() const { return laneCount; }
-
     /** The kernel actually stepping this batch. */
     simd::Kernel kernel() const { return activeKernel; }
 
@@ -218,18 +215,6 @@ class BatchStepper
     }
 
     /**
-     * Resync a lane whose capacitance changed mid-batch (dielectric
-     * aging books the energy delta on the cell's own Capacitor; the
-     * lane then continues with the new constants).
-     *
-     * @param lane Lane index.
-     * @param capacitance New capacitance, farads.
-     * @param leak_decay Capacitor::leakDecayFor(dt) for the new part.
-     */
-    void setLaneCapacitance(int lane, double capacitance,
-                            double leak_decay);
-
-    /**
      * Freeze a finished lane: decay 1.0, zero power, zero load.  Every
      * later step leaves the lane's voltage and ledger bits untouched,
      * so one cell draining early never perturbs its batch mates.
@@ -250,11 +235,6 @@ class BatchStepper
             return;
         stepFn(state);
     }
-
-    /** Advance one dt through the full kernel, bypassing the
-     *  quiet-step peephole (differential tests pin the two paths
-     *  against each other). */
-    void stepFull() { stepFn(state); }
 
     /** True when no lane is powered or loaded (the quiet-step
      *  precondition the setters track).  Only harvest/load setter

@@ -132,9 +132,6 @@ class Capacitor
         return std::exp(-dt / leakTau);
     }
 
-    /** False for a lossless part (leak() is a no-op at any dt). */
-    bool leakFinite() const { return leakTauFinite; }
-
     /**
      * Clamp voltage to the given ceiling (defaults to the rated voltage).
      *

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "sim/hotloop_stats.hh"
 #include "util/logging.hh"
 
 namespace react {
@@ -43,21 +42,6 @@ SchottkyDiode::SchottkyDiode(Amps saturation_current, double ideality,
 
 Volts
 SchottkyDiode::forwardDrop(Amps current) const
-{
-    if (current <= Amps(0))
-        return Volts(0.0);
-    if (current == memoCurrent) {
-        ++hotloop::counters().schottkyCacheHits;
-        return memoDrop;
-    }
-    memoDrop = forwardDropExact(current);
-    memoCurrent = current;
-    ++hotloop::counters().schottkyCacheMisses;
-    return memoDrop;
-}
-
-Volts
-SchottkyDiode::forwardDropExact(Amps current) const
 {
     if (current <= Amps(0))
         return Volts(0.0);

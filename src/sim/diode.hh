@@ -89,26 +89,10 @@ class SchottkyDiode : public Diode
     Volts forwardDrop(Amps current) const override;
     Watts quiescentPower() const override { return Watts(0.0); }
 
-    /** Exact (uncached) Shockley solve, bypassing the repeated-current
-     *  memo.  Tests cross-check the memoized path against this. */
-    Volts forwardDropExact(Amps current) const;
-
   private:
     Amps iSat;
     double n;
     Volts vt;
-
-    /**
-     * Repeated-current memo: bank-isolation sweeps query the same
-     * operating current for long stretches, so the last (current, drop)
-     * pair is cached.  A hit requires a bitwise-equal current and
-     * returns the previously solved drop verbatim -- trivially
-     * bit-identical to the uncached log1p solve, and monotonicity of
-     * the Shockley curve is preserved because every *distinct* current
-     * is still solved exactly.
-     */
-    mutable Amps memoCurrent{-1.0};
-    mutable Volts memoDrop{0.0};
 };
 
 } // namespace sim

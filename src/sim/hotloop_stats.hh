@@ -2,14 +2,14 @@
  * @file
  * Hot-loop telemetry counters for the memoized transcendental caches.
  *
- * The fixed-timestep engine's dominant cost used to be `std::exp` /
- * `std::log1p` evaluations recomputed every step even though their inputs
- * (dt, RC constants) change only on rare reconfiguration or fault events.
- * The caches that removed them (Capacitor leak decay, charge-transfer
- * decay, Schottky forward-drop memo) report hit/miss counts here so
- * `bench/hot_loop` can emit cache hit rates into BENCH_hotloop.json and a
- * silent cache regression (a key that never matches) shows up as a
- * collapsed hit rate, not just as slower numbers.
+ * The fixed-timestep engine's dominant cost used to be `std::exp`
+ * evaluations recomputed every step even though their inputs (dt, RC
+ * constants) change only on rare reconfiguration or fault events.  The
+ * caches that removed them (Capacitor leak decay, charge-transfer decay)
+ * report hit/miss counts here so `bench/hot_loop` can emit cache hit
+ * rates into BENCH_hotloop.json and a silent cache regression (a key
+ * that never matches) shows up as a collapsed hit rate, not just as
+ * slower numbers.
  *
  * Counters are thread-local plain integers: the per-step increment is a
  * register bump (no atomics on the hot path), and the single-threaded
@@ -39,19 +39,11 @@ struct Counters
     /** Charge-transfer decay recomputed (capacitance/resistance/dt
      *  key changed). */
     uint64_t transferCacheMisses = 0;
-    /** Schottky forward drop served from the repeated-current memo. */
-    uint64_t schottkyCacheHits = 0;
-    /** Schottky forward drop solved exactly (new current). */
-    uint64_t schottkyCacheMisses = 0;
 
     uint64_t leakTotal() const { return leakCacheHits + leakCacheMisses; }
     uint64_t transferTotal() const
     {
         return transferCacheHits + transferCacheMisses;
-    }
-    uint64_t schottkyTotal() const
-    {
-        return schottkyCacheHits + schottkyCacheMisses;
     }
 };
 

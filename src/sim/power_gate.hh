@@ -95,10 +95,10 @@ class PowerGate
  * is bit-identical by construction; the authoritative PowerGate object
  * remains the source of truth for serialization, and the runner calls
  * its update() on every flagged transition to keep the two in lockstep.
- * Lanes whose gate observes the rail through an injector must NOT be
- * mirrored: comparatorRead consumes injector randomness on every call,
- * so those lanes keep their per-step update() (clear their liveMask
- * bit).
+ * The batch runner admits no fault plan, so every gate it mirrors is
+ * injector-free (an injector's comparator reads consume randomness on
+ * every call and could not be mirrored).  Every lane is compared; the
+ * caller masks off the lanes it does not occupy.
  */
 struct GateLaneBank
 {
@@ -110,17 +110,15 @@ struct GateLaneBank
     double vBrownout[kMaxLanes] = {};
     /** Bit l set: lane l's latch is currently on. */
     uint8_t onMask = 0;
-    /** Bit l set: lane l is mirrored here (live, injector-free). */
-    uint8_t liveMask = 0;
 
     /**
-     * The hysteresis check for every mirrored lane at once.
+     * The hysteresis check for every lane at once.
      *
      * @param rail Lane-major rail voltages (e.g.
      *        sim::BatchStepper::voltages()).
-     * @return Mask of mirrored lanes whose latch flips on this rail.
-     *         The caller forwards each flip to the authoritative
-     *         PowerGate::update and toggles onMask.
+     * @return Mask of lanes whose latch flips on this rail.  The caller
+     *         forwards each flip to the authoritative PowerGate::update
+     *         and toggles onMask.
      */
     uint8_t transitionMask(const double *rail) const
     {
@@ -131,7 +129,7 @@ struct GateLaneBank
                                  : rail[l] >= vEnable[l];
             flips |= static_cast<uint8_t>(flip ? 1u << l : 0u);
         }
-        return flips & liveMask;
+        return flips;
     }
 
     /** Apply a transition mask to the latch mirror. */

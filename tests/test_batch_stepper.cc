@@ -8,23 +8,26 @@
  * per-cell runExperiment produces.  The suite pins that from three
  * sides:
  *
- *  - fixed-configuration differentials (paper-style cells, fault plans,
- *    rail recording) asserting byte-identical stateDigest, ledger
- *    totals, counters, and residuals per kernel;
+ *  - fixed-configuration differentials (paper-style cells, every exit
+ *    path) asserting byte-identical stateDigest, ledger totals,
+ *    counters, and residuals per kernel;
  *  - a seeded randomized sweep -- hundreds of generated cells over
  *    capacitance x trace shape (bursty, gate-flappy, zero-tailed, at
  *    ragged sample periods) x converter frontend (identity, datasheet
  *    presets, randomized sigmoids -- per lane, mixed within a batch)
- *    x fault schedule x workload -- with a shrinker that, on first
- *    divergence, minimizes the failing cell's trace and prints a
- *    one-line "REPRO:" recipe;
+ *    x workload -- with a shrinker that, on first divergence,
+ *    minimizes the failing cell's trace and prints a one-line "REPRO:"
+ *    recipe;
  *  - a span-compilation differential walking the admission-time
  *    frontend table step by step against the per-step power() path;
  *  - batch-shape properties: permutations, splits (8 vs 4+4 vs 3+5),
  *    ragged tails, and grid chunking must not change any cell's bytes,
  *    which is what makes the engine safe under any thread count (a
  *    worker's batch composition is scheduling-dependent; results are
- *    not).
+ *    not);
+ *  - the grid entry point on every kernel, including the cells it must
+ *    send back to runExperiment (REACT/Morphy, fault plans, rail
+ *    recording).
  */
 
 #include <gtest/gtest.h>
@@ -36,6 +39,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "buffers/static_buffer.hh"
@@ -168,9 +172,6 @@ struct CellSpec
     double convPHalfW = 1e-3;
     double convSlope = 2.0;
     double convQuiescentW = 5e-6;
-    /** FaultPlan::stress severity (0 = fault-free). */
-    double faultSeverity = 0.0;
-    uint64_t faultSeed = 0x5eedull;
     /** -1 = no benchmark (Fig. 1 style), else BenchmarkKind index. */
     int benchKind = -1;
     uint64_t benchSeed = 42;
@@ -182,24 +183,21 @@ struct CellSpec
                       "REPRO: sweep_seed=%llu index=%d cap=%.17g clamp=%.17g "
                       "trace_samples=%d trace_seed=%llu trace_dt=%.17g "
                       "trace_shape=%d conv=%d conv_params=[%.17g %.17g %.17g "
-                      "%.17g %.17g] fault_severity=%.17g "
-                      "fault_seed=%llu bench=%d bench_seed=%llu",
+                      "%.17g %.17g] bench=%d bench_seed=%llu",
                       static_cast<unsigned long long>(sweepSeed), index,
                       capacitanceF, clampV, traceSamples,
                       static_cast<unsigned long long>(traceSeed), traceDt,
                       traceShape, converterKind, convEtaFloor, convEtaCeiling,
-                      convPHalfW, convSlope, convQuiescentW, faultSeverity,
-                      static_cast<unsigned long long>(faultSeed), benchKind,
+                      convPHalfW, convSlope, convQuiescentW, benchKind,
                       static_cast<unsigned long long>(benchSeed));
         return buf;
     }
 };
 
 /** Draw one cell from the sweep generator.  Capacitance, clamp, trace,
- *  and workload vary per cell; the fault schedule varies per *batch
- *  group* (index / kMaxLanes), because runExperimentBatch -- like the
- *  production grid -- shares one ExperimentConfig (and thus one fault
- *  plan and seed) across a batch. */
+ *  frontend, and workload vary per cell; the config is diffConfig()
+ *  for every cell, because runExperimentBatch -- like the production
+ *  grid -- shares one ExperimentConfig across a batch. */
 CellSpec
 drawCell(uint64_t sweep_seed, int index)
 {
@@ -232,16 +230,6 @@ drawCell(uint64_t sweep_seed, int index)
         spec.convSlope = rng.uniform(1.0, 4.0);
         spec.convQuiescentW = std::pow(10.0, rng.uniform(-6.0, -4.5));
     }
-    // Half the batch groups run fault-free; the rest get the canonical
-    // mixed stress plan at a group-random severity (aging resyncs lane
-    // constants mid-batch, dropouts gate the harvest, comparator faults
-    // skew the gate -- all must stay bit-exact).
-    Rng group_rng(sweep_seed ^
-                  (0xbf58476d1ce4e5b9ull *
-                   (uint64_t(index / sim::BatchStepper::kMaxLanes) + 1)));
-    spec.faultSeverity =
-        group_rng.uniform() < 0.5 ? 0.0 : group_rng.uniform(0.1, 1.0);
-    spec.faultSeed = group_rng.next();
     return spec;
 }
 
@@ -298,9 +286,6 @@ buildCell(const CellSpec &spec)
 {
     BuiltCell built;
     built.config = diffConfig();
-    built.config.faultSeed = spec.faultSeed;
-    if (spec.faultSeverity > 0.0)
-        built.config.faultPlan = sim::FaultPlan::stress(spec.faultSeverity);
     built.trace = std::make_unique<PowerTrace>(cellTrace(spec));
     built.buffer = std::make_unique<buffer::StaticBuffer>(
         staticBufferSpec(units::Farads(spec.capacitanceF)),
@@ -343,10 +328,8 @@ runClassicCell(const CellSpec &spec)
 
 /**
  * Run a group of specs as lane batches (in chunks of kMaxLanes, in the
- * given order) on one kernel.  All specs share diffConfig()-derived
- * configs except the fault plan, which must match across a batch -- so
- * the sweep batches fault-free and faulted cells separately, exactly as
- * the grid batches per-config.
+ * given order) on one kernel.  Every spec's config is diffConfig(), so
+ * each batch shares one config, like the grid's.
  */
 std::vector<ExperimentResult>
 runBatchedCells(const std::vector<CellSpec> &specs, sim::simd::Kernel kernel)
@@ -356,13 +339,6 @@ runBatchedCells(const std::vector<CellSpec> &specs, sim::simd::Kernel kernel)
     while (begin < specs.size()) {
         const size_t end =
             std::min(begin + sim::BatchStepper::kMaxLanes, specs.size());
-        for (size_t i = begin; i < end; ++i) {
-            // One config per batch: the fault schedule must be batch-
-            // homogeneous, like the production grid's shared config.
-            EXPECT_EQ(specs[i].faultSeverity, specs[begin].faultSeverity)
-                << specs[i].repro();
-            EXPECT_EQ(specs[i].faultSeed, specs[begin].faultSeed);
-        }
         std::vector<BuiltCell> built;
         std::array<BatchCell, sim::BatchStepper::kMaxLanes> batch;
         for (size_t i = begin; i < end; ++i)
@@ -567,51 +543,6 @@ TEST(BatchStepper, Fig1StyleFourLaneBatchMatchesClassic)
     }
 }
 
-TEST(BatchStepper, FaultPlanStaysBitExact)
-{
-    // Fault plans are admissible: the injector runs scalar per lane and
-    // dielectric aging resyncs the lane constants.  A faulted cell must
-    // still be byte-identical to its classic run -- and non-vacuously
-    // faulted (events actually fired).
-    CellSpec spec;
-    spec.capacitanceF = 10e-3;
-    spec.traceSamples = 400;
-    spec.traceSeed = 7;
-    spec.faultSeverity = 1.0;
-    spec.benchKind = 0;
-    const auto classic = runClassicCell(spec);
-    EXPECT_GT(classic.faultEvents, 0u);
-    for (const auto kernel : availableKernels()) {
-        const auto batch = runBatchedCells({spec}, kernel);
-        expectBitIdentical(batch[0], classic,
-                           sim::simd::kernelName(kernel));
-    }
-}
-
-TEST(BatchStepper, RailRecordingMatchesClassic)
-{
-    // recordRail samples inside the step loop; the lane engine must
-    // reproduce every sample's timestamp and voltage bits.
-    const auto trace = burstTrace(5e-3, 2, "rail");
-    auto cfg = diffConfig();
-    cfg.recordRail = true;
-    cfg.recordInterval = 0.25;
-    buffer::StaticBuffer ref(
-        staticBufferSpec(units::Farads(10e-3)), units::Volts(3.6));
-    harvest::HarvesterFrontend frontend(trace);
-    const auto classic = runExperiment(ref, nullptr, frontend, cfg);
-    ASSERT_GT(classic.rail.size(), 0u);
-    for (const auto kernel : availableKernels()) {
-        buffer::StaticBuffer buf(
-            staticBufferSpec(units::Farads(10e-3)), units::Volts(3.6));
-        ExperimentResult result;
-        BatchCell cell{&buf, nullptr, &frontend, &result};
-        runExperimentBatch(&cell, 1, cfg, kernel);
-        expectBitIdentical(result, classic,
-                           sim::simd::kernelName(kernel));
-    }
-}
-
 TEST(BatchStepper, AdmissibilityGate)
 {
     const auto cfg = diffConfig();
@@ -619,11 +550,25 @@ TEST(BatchStepper, AdmissibilityGate)
         staticBufferSpec(units::Farads(10e-3)), units::Volts(3.6));
     EXPECT_TRUE(batchAdmissible(statik, cfg));
 
-    // Fault plans are in; everything that would change the step loop's
-    // semantics is out.
+    // The exit-path variants the lane engine replays are in.
+    ExperimentConfig latency = cfg;
+    latency.stopAfterLatency = true;
+    EXPECT_TRUE(batchAdmissible(statik, latency));
+
+    ExperimentConfig zeroSettle = cfg;
+    zeroSettle.settleTime = 0.0;
+    EXPECT_TRUE(batchAdmissible(statik, zeroSettle));
+
+    // Everything no lane-engine caller sends -- fault plans, rail
+    // recording, checkpointing, simulated crashes -- stays with
+    // runExperiment.
     ExperimentConfig faulted = cfg;
     faulted.faultPlan = sim::FaultPlan::stress(1.0);
-    EXPECT_TRUE(batchAdmissible(statik, faulted));
+    EXPECT_FALSE(batchAdmissible(statik, faulted));
+
+    ExperimentConfig recorded = cfg;
+    recorded.recordRail = true;
+    EXPECT_FALSE(batchAdmissible(statik, recorded));
 
     ExperimentConfig checkpointed = cfg;
     checkpointed.checkpointPath = "/tmp/ckpt";
@@ -696,7 +641,7 @@ TEST(FrontendSpanCompilation, ReplaysPerStepPowerBitExactly)
 TEST(BatchStepperDifferential, RandomizedSweepIsBitExactOnEveryKernel)
 {
     // Hundreds of generated cells (capacitance x clamp x trace shape x
-    // fault schedule x workload), batched 8 wide, against the classic
+    // frontend x workload), batched 8 wide, against the classic
     // engine.  On the first diverging cell the sweep shrinks its trace
     // to the shortest still-diverging prefix and fails with a REPRO
     // line that reconstructs the cell from two numbers.
@@ -704,11 +649,9 @@ TEST(BatchStepperDifferential, RandomizedSweepIsBitExactOnEveryKernel)
     constexpr int kCells = 208;  // 26 full batches of 8
 
     std::vector<CellSpec> pool;
-    size_t faulted = 0, converted = 0, flappy = 0, darkTailed = 0;
+    size_t converted = 0, flappy = 0, darkTailed = 0;
     for (int i = 0; i < kCells; ++i) {
         pool.push_back(drawCell(kSweepSeed, i));
-        if (pool.back().faultSeverity > 0.0)
-            ++faulted;
         if (pool.back().converterKind > 0)
             ++converted;
         if (pool.back().traceShape == 1)
@@ -717,10 +660,8 @@ TEST(BatchStepperDifferential, RandomizedSweepIsBitExactOnEveryKernel)
             ++darkTailed;
     }
     // Non-vacuous coverage of every regime the sweep claims to hit:
-    // faulted and fault-free groups, per-lane converter frontends, and
-    // the gate-flap / zero-tail trace shapes.
-    ASSERT_GE(faulted, 48u);
-    ASSERT_GE(pool.size() - faulted, 48u);
+    // per-lane converter frontends and the gate-flap / zero-tail trace
+    // shapes.
     ASSERT_GE(converted, 80u);
     ASSERT_GE(flappy, 32u);
     ASSERT_GE(darkTailed, 32u);
@@ -754,11 +695,8 @@ TEST(BatchStepperShape, SplitsAndPermutationsDoNotChangeAnyCell)
     // is the property that makes the engine thread-count-proof -- which
     // cells share a worker's batch is a scheduling accident.
     std::vector<CellSpec> specs;
-    for (int i = 0; i < 8; ++i) {
-        CellSpec spec = drawCell(0xba7c4, i);
-        spec.faultSeverity = 0.0;  // one shared config per batch
-        specs.push_back(spec);
-    }
+    for (int i = 0; i < 8; ++i)
+        specs.push_back(drawCell(0xba7c4, i));
     std::vector<ExperimentResult> classic(specs.size());
     for (size_t i = 0; i < specs.size(); ++i)
         classic[i] = runClassicCell(specs[i]);
@@ -837,35 +775,58 @@ TEST(BatchStepperShape, RaggedTailsFreezeWithoutPerturbing)
 
 TEST(BatchStepperShape, GridBatchMatchesSoloGridCells)
 {
-    // The production entry point: runGridCellBatch on real evaluation
-    // cells (static columns, real paper traces) must write exactly what
-    // runGridCell writes -- seeds derive from cell identity, never from
-    // batch composition.  Uses the cheapest trace (1 cycle is baked
-    // into the shared evaluation cache, so this exercises the real
-    // thing).
-    const std::array<BufferKind, 3> buffers = {BufferKind::Static770uF,
-                                               BufferKind::Static10mF,
-                                               BufferKind::Static17mF};
+    // The production entry point: runGridCellBatch on a full Table-2
+    // column (three static buffers plus Morphy and REACT, real paper
+    // trace) must write exactly what runGridCell writes -- seeds derive
+    // from cell identity, never from batch composition -- on every
+    // kernel.  The static cells ride the lanes under the default
+    // config; REACT and Morphy, and every cell under a fault plan or
+    // rail recording, fall back to runExperiment inside the same call.
+    // Uses the cheapest trace (the shared evaluation cache, so this
+    // exercises the real thing).
     prewarmEvaluationTraces();
     const auto trace_kind = trace::kAllPaperTraces[0];
-    std::array<ExperimentResult, 3> solo;
-    for (size_t i = 0; i < buffers.size(); ++i)
-        solo[i] = runGridCell(buffers[i], BenchmarkKind::DataEncryption,
-                              trace_kind);
 
-    std::array<ExperimentResult, 3> batched;
-    std::vector<GridBatchCell> cells;
-    for (size_t i = 0; i < buffers.size(); ++i)
-        cells.push_back(GridBatchCell{buffers[i],
-                                      BenchmarkKind::DataEncryption,
-                                      trace_kind, &batched[i]});
-    runGridCellBatch(cells);
+    ExperimentConfig faulted;
+    faulted.faultPlan = sim::FaultPlan::stress(1.0);
+    ExperimentConfig recorded;
+    recorded.recordRail = true;
+    const std::array<std::pair<const char *, ExperimentConfig>, 3> configs =
+        {{{"default", ExperimentConfig()},
+          {"fault plan", faulted},
+          {"rail recording", recorded}}};
 
-    // selectedKernel() is process-cached; whatever engine it resolved,
-    // the slots must match the solo runs bit-for-bit.
-    for (size_t i = 0; i < buffers.size(); ++i)
-        expectBitIdentical(batched[i], solo[i],
-                           bufferKindName(buffers[i]));
+    for (const auto &[config_name, config] : configs) {
+        std::array<ExperimentResult, kAllBuffers.size()> solo;
+        for (size_t i = 0; i < kAllBuffers.size(); ++i)
+            solo[i] = runGridCell(kAllBuffers[i],
+                                  BenchmarkKind::DataEncryption, trace_kind,
+                                  config);
+        // Non-vacuous: the fallback configs really fault and record.
+        for (const auto &result : solo) {
+            if (config.faultPlan.enabled()) {
+                EXPECT_GT(result.faultEvents, 0u) << config_name;
+            }
+            if (config.recordRail) {
+                EXPECT_FALSE(result.rail.empty()) << config_name;
+            }
+        }
+        for (const auto kernel : availableKernels()) {
+            std::array<ExperimentResult, kAllBuffers.size()> batched;
+            std::vector<GridBatchCell> cells;
+            for (size_t i = 0; i < kAllBuffers.size(); ++i)
+                cells.push_back(GridBatchCell{kAllBuffers[i],
+                                              BenchmarkKind::DataEncryption,
+                                              trace_kind, &batched[i]});
+            runGridCellBatch(cells, config, kEvaluationSeed, kernel);
+            for (size_t i = 0; i < kAllBuffers.size(); ++i)
+                expectBitIdentical(
+                    batched[i], solo[i],
+                    std::string(config_name) + " kernel=" +
+                        sim::simd::kernelName(kernel) + " " +
+                        bufferKindName(kAllBuffers[i]));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,11 +3,10 @@
  * Property tests for the hot-loop transcendental caches (DESIGN.md,
  * "Hot loop").
  *
- * The engine's correctness claim is *bit-identity*: every cache either
+ * The engine's correctness claim is *bit-identity*: every cache
  * re-evaluates its value through the exact operation sequence the
- * uncached code used (leak decay, transfer decay) or returns a
- * previously-solved value for a bitwise-equal key (Schottky memo), so a
- * cached run and an uncached run produce the same bytes.  These tests
+ * uncached code used (leak decay, transfer decay), so a cached run and
+ * an uncached run produce the same bytes.  These tests
  * pin that claim across every mutation path that can stale a cached
  * value -- setCapacitance, setUnitCapacitance, fault-injected aging
  * drift, and snapshot restore -- by comparing against freshly
@@ -21,7 +20,6 @@
 #include "core/bank.hh"
 #include "sim/capacitor.hh"
 #include "sim/charge_transfer.hh"
-#include "sim/diode.hh"
 #include "sim/fault_injector.hh"
 #include "sim/hotloop_stats.hh"
 #include "snapshot/snapshot.hh"
@@ -247,37 +245,6 @@ TEST(HotLoopCache, TransferCacheBitIdenticalToUncached)
     // The cached side misses on the first step and at both key changes.
     EXPECT_EQ(c.transferCacheMisses, 3u);
     EXPECT_GT(c.transferCacheHits, 0u);
-}
-
-TEST(HotLoopCache, SchottkyMemoMatchesExactSolve)
-{
-    const SchottkyDiode diode;
-    hotloop::resetCounters();
-    // Repeated current: one solve, then memo hits, all bit-identical to
-    // the uncached Shockley evaluation.
-    const Amps i_op(1e-3);
-    const double exact = diode.forwardDropExact(i_op).raw();
-    for (int k = 0; k < 100; ++k)
-        ASSERT_EQ(diode.forwardDrop(i_op).raw(), exact);
-    const auto &c = hotloop::counters();
-    EXPECT_EQ(c.schottkyCacheMisses, 1u);
-    EXPECT_EQ(c.schottkyCacheHits, 99u);
-
-    // Distinct currents each solve exactly; the curve stays monotone
-    // and equal to the exact path at every probe.
-    double prev = 0.0;
-    for (int k = 1; k <= 200; ++k) {
-        const Amps i(static_cast<double>(k) * 2.5e-5);
-        const double drop = diode.forwardDrop(i).raw();
-        ASSERT_EQ(drop, diode.forwardDropExact(i).raw());
-        ASSERT_GT(drop, prev);
-        prev = drop;
-    }
-    // Zero and negative currents short-circuit to zero drop without
-    // touching the memo'd operating point.
-    EXPECT_EQ(diode.forwardDrop(Amps(0.0)).raw(), 0.0);
-    EXPECT_EQ(diode.forwardDrop(Amps(-1e-3)).raw(), 0.0);
-    EXPECT_EQ(diode.forwardDrop(i_op).raw(), exact);
 }
 
 } // namespace

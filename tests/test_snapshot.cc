@@ -592,6 +592,17 @@ TEST(CheckpointEnv, AppliesDirAndInterval)
     EXPECT_EQ(cfg.checkpointPath, "/tmp/ckpt/DE_RF_Cart_REACT.snap");
     EXPECT_TRUE(cfg.resume);
     EXPECT_EQ(cfg.checkpointEverySteps, 5000u);
+
+    // An explicit path (reactd's per-job name) is left alone, resume
+    // and cadence included.
+    harness::ExperimentConfig named;
+    named.checkpointPath = "/srv/jobs/DE_RF_Cart_REACT_0000000000000007.snap";
+    named.checkpointEverySteps = 123;
+    EXPECT_FALSE(harness::applyCheckpointEnv(&named, "DE:RF Cart:REACT"));
+    EXPECT_EQ(named.checkpointPath,
+              "/srv/jobs/DE_RF_Cart_REACT_0000000000000007.snap");
+    EXPECT_FALSE(named.resume);
+    EXPECT_EQ(named.checkpointEverySteps, 123u);
     unsetenv("REACT_CHECKPOINT_INTERVAL");
     unsetenv("REACT_CHECKPOINT_DIR");
 
