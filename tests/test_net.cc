@@ -1562,17 +1562,25 @@ TEST(ServerOutbuf, NeverPollingClientCannotBalloonServerMemory)
         // runs until that drop, not for a fixed ping count: a starved
         // server thread leaves pings queued in the autotuned TCP receive
         // buffer, so any fixed count can end before the server has
-        // answered enough of them to overflow.
+        // answered enough of them to overflow.  Pings go out 1024 to a
+        // write: the pongs must first fill the kernel's socket buffers
+        // (megabytes on loopback) before the outbuf grows, and one
+        // syscall per 13-byte ping made that take seconds on an idle
+        // host and past the deadline on a loaded one.
         Socket raw = connectBound(server, 1000);
         const std::vector<uint8_t> ping = makePing();
+        constexpr uint64_t kPingsPerWrite = 1024;
+        std::vector<uint8_t> pings;
+        for (uint64_t i = 0; i < kPingsPerWrite; ++i)
+            pings.insert(pings.end(), ping.begin(), ping.end());
         const auto deadline =
             std::chrono::steady_clock::now() + std::chrono::seconds(30);
         uint64_t sent = 0;
         bool dropped = false;
         while (!dropped && std::chrono::steady_clock::now() < deadline) {
             try {
-                sendAll(raw.fd(), ping.data(), ping.size(), 1000);
-                ++sent;
+                sendAll(raw.fd(), pings.data(), pings.size(), 1000);
+                sent += kPingsPerWrite;
             } catch (const SocketError &) {
                 dropped = true;  // server closed on us: the cap worked
             }
