@@ -54,9 +54,10 @@ main()
                 static_cast<unsigned long long>(result.missedEvents));
     std::printf("energy: harvested %.1f mJ -> delivered %.1f mJ "
                 "(clipped %.1f, leaked %.1f, switching %.2f)\n",
-                result.ledger.harvested * 1e3,
-                result.ledger.delivered * 1e3,
-                result.ledger.clipped * 1e3, result.ledger.leaked * 1e3,
-                result.ledger.switchLoss * 1e3);
+                result.ledger.harvested.raw() * 1e3,
+                result.ledger.delivered.raw() * 1e3,
+                result.ledger.clipped.raw() * 1e3,
+                result.ledger.leaked.raw() * 1e3,
+                result.ledger.switchLoss.raw() * 1e3);
     return 0;
 }

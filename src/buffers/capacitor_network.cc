@@ -109,7 +109,18 @@ CapacitorNetwork::adoptConfig(const NetworkConfig &next)
         branchOffsets.push_back(static_cast<int32_t>(flatUnits.size()));
         branchSizes.push_back(static_cast<double>(branch.size()));
     }
-    cachedEqCapKey = Farads(-1.0);
+    rebuildEqCap();
+}
+
+void
+CapacitorNetwork::rebuildEqCap()
+{
+    // Sum of unit_cap / branch_size in branch order: the exact operation
+    // sequence of NetworkConfig::equivalentCapacitance().
+    const Farads unit_cap = units[0].capacitance();
+    eqCap = Farads(0.0);
+    for (double size : branchSizes)
+        eqCap += unit_cap / size;
 }
 
 Joules
@@ -142,6 +153,7 @@ CapacitorNetwork::restore(snapshot::SnapshotReader &r)
             "capacitor-network snapshot unit count mismatch");
     for (auto &unit : units)
         unit.restore(r);
+    rebuildEqCap();
 }
 
 } // namespace buffer

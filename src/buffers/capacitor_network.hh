@@ -72,7 +72,7 @@ class CapacitorNetwork
     void setUnitVoltage(int index, Volts voltage);
 
     /** Equivalent capacitance of the connected arrangement (0 if none). */
-    Farads equivalentCapacitance() const;
+    Farads equivalentCapacitance() const { return eqCap; }
 
     /** Output-node voltage (terminal voltage of the connected branches;
      *  0 when nothing is connected). */
@@ -172,14 +172,16 @@ class CapacitorNetwork
     std::vector<int32_t> branchOffsets;
     std::vector<double> branchSizes;
     /**
-     * Equivalent-capacitance memo keyed on the unit capacitance (all
-     * units share one part spec; aging rescales them together).
-     * adoptConfig() invalidates the key explicitly because a new
-     * arrangement changes the sum without touching the key.
+     * Equivalent capacitance of the compiled arrangement.  A value
+     * cache rebuilt where its operands change -- adoptConfig() for the
+     * arrangement, restore() for the unit capacitance -- so the several
+     * reads per Morphy step are a load, not a division per branch.
      */
-    mutable Farads cachedEqCap{0.0};
-    mutable Farads cachedEqCapKey{-1.0};
+    Farads eqCap{0.0};
     /** @} */
+
+    /** Recompute eqCap from branchSizes and the unit capacitance. */
+    void rebuildEqCap();
 
   public:
     /** Not copyable: nothing copies a network, and a copy would drop the
@@ -202,23 +204,6 @@ CapacitorNetwork::flatBranchVoltage(std::size_t b) const
         v += units[static_cast<size_t>(flatUnits[static_cast<size_t>(k)])]
                  .voltage();
     return v;
-}
-
-inline Farads
-CapacitorNetwork::equivalentCapacitance() const
-{
-    // Sum of unit_cap / branch_size in branch order: the exact operation
-    // sequence of NetworkConfig::equivalentCapacitance(), memoized on
-    // the unit capacitance (the only run-time-variable operand).
-    const Farads unit_cap = units[0].capacitance();
-    if (unit_cap != cachedEqCapKey) {
-        Farads total{0.0};
-        for (double size : branchSizes)
-            total += unit_cap / size;
-        cachedEqCap = total;
-        cachedEqCapKey = unit_cap;
-    }
-    return cachedEqCap;
 }
 
 inline Volts

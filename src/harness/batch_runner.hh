@@ -24,12 +24,10 @@
  *  - the backend load current is re-queried only when it can have
  *    changed (gate transitions and benchmark ticks), not every step;
  *  - the four physics phases run vectorized across all lanes at once
- *    (scalar/AVX2/AVX-512 kernels, sim/batch_stepper.hh), steps where
- *    no lane harvests or draws load collapse to the quiet-step
- *    peephole (leak only -- bit-identical, see BatchStepper::step),
- *    and a nearly drained batch (at most two live cells) steps those
- *    lanes scalar instead of running the full-width kernel over
- *    frozen no-op lanes (BatchStepper::stepLane);
+ *    (scalar/AVX2/AVX-512 kernels, sim/batch_stepper.hh), and a nearly
+ *    drained batch (at most two live cells) steps those lanes scalar
+ *    instead of running the full-width kernel over frozen no-op lanes
+ *    (BatchStepper::stepLane);
  *  - the per-lane control plane is *event-driven*: a gate-off lane
  *    sleeps -- zero per-step control work beyond one shared clock
  *    advance and two SoA wake compares -- until a gate flip (caught by

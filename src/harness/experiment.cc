@@ -194,8 +194,7 @@ ExperimentRun::begin()
     gate.reset();
     injector.reset();
     if (config.faultPlan.enabled()) {
-        injector = std::make_unique<sim::FaultInjector>(config.faultPlan,
-                                                        config.faultSeed);
+        injector = std::make_unique<sim::FaultInjector>(config.faultPlan);
         buffer.attachFaultInjector(injector.get());
         gate.attachFaultInjector(injector.get());
     }
@@ -329,7 +328,8 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
         w.str(result.benchmarkName);
         w.str(result.traceName);
         w.f64(config.dt);
-        w.u64(config.faultSeed);
+        // The injector's seed slot; every run uses the one seed.
+        w.u64(sim::FaultInjector::kMasterSeed);
         w.b(run.injector != nullptr);
         w.b(finished);
         w.endSection();
@@ -380,7 +380,7 @@ runExperiment(buffer::EnergyBuffer &buffer, workload::Benchmark *benchmark,
                 if (buf_name != result.bufferName ||
                     bench_name != result.benchmarkName ||
                     trace_name != result.traceName || dt != config.dt ||
-                    seed != config.faultSeed ||
+                    seed != sim::FaultInjector::kMasterSeed ||
                     had_injector != (run.injector != nullptr))
                     throw snapshot::SnapshotError(
                         "checkpoint belongs to a different experiment (" +

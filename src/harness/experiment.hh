@@ -61,8 +61,6 @@ struct ExperimentConfig
      * is attached to the buffer and the power gate for the whole run.
      */
     sim::FaultPlan faultPlan;
-    /** Master seed for the fault injector's component streams. */
-    uint64_t faultSeed = 0x5eedull;
     /**
      * Escalate an energy-conservation violation (|error| beyond 1e-9 J
      * per joule harvested) from a warning to a panic.  Tests enable

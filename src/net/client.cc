@@ -242,8 +242,7 @@ Client::runJob(const JobSpec &spec,
                   }
                   case MsgType::JobError: {
                     const uint64_t got_id = r.u64();
-                    const JobState state =
-                        static_cast<JobState>(r.u8());
+                    const JobState state = decodeJobState(r);
                     const std::string message = r.str();
                     r.expectEnd();
                     (void)got_id;
@@ -261,8 +260,7 @@ Client::runJob(const JobSpec &spec,
                   }
                   case MsgType::Submitted: {
                     const uint64_t got_id = r.u64();
-                    const JobState state =
-                        static_cast<JobState>(r.u8());
+                    const JobState state = decodeJobState(r);
                     r.expectEnd();
                     (void)got_id;
                     if (on_progress)

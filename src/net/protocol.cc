@@ -44,24 +44,20 @@ emptyFrame(MsgType type)
 
 } // namespace
 
-const char *
-jobStateName(JobState state)
+JobState
+decodeJobState(WireReader &r)
 {
-    switch (state) {
+    const uint8_t raw = r.u8();
+    switch (static_cast<JobState>(raw)) {
       case JobState::Queued:
-        return "queued";
       case JobState::Running:
-        return "running";
       case JobState::Done:
-        return "done";
-      case JobState::Cached:
-        return "cached";
       case JobState::Expired:
-        return "expired";
       case JobState::Failed:
-        return "failed";
+        return static_cast<JobState>(raw);
     }
-    return "unknown";
+    throw ProtocolError("job state byte " + std::to_string(raw) +
+                        " out of range");
 }
 
 std::string

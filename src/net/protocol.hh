@@ -82,22 +82,21 @@ enum class MsgType : uint8_t
     AuthReject = 15,
 };
 
-/** Server-side job lifecycle, as reported in Submitted frames. */
+/** Server-side job lifecycle, as reported in Submitted and JobError
+ *  frames.  The values are the wire bytes; 3 is unassigned. */
 enum class JobState : uint8_t
 {
     Queued = 0,
     Running = 1,
     Done = 2,
-    /** Done, and served straight from the result cache. */
-    Cached = 3,
     /** Deadline lapsed while queued. */
     Expired = 4,
     /** The cell threw; message carried in JobError. */
     Failed = 5,
 };
 
-/** Printable name of a job state. */
-const char *jobStateName(JobState state);
+/** Read a JobState byte; throws ProtocolError on any other value. */
+JobState decodeJobState(WireReader &r);
 
 /**
  * One experiment job: an evaluation-grid cell plus runner options.

@@ -665,7 +665,6 @@ Server::Impl::handleFrame(Connection *conn, const Frame &frame)
             return;
           case JobState::Queued:
           case JobState::Running:
-          case JobState::Cached:
             // Idempotent retry: attach, don't duplicate.
             sendSubmitted(conn, id, job.state);
             return;

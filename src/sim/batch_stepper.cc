@@ -20,103 +20,26 @@ laneEnergy(double half_c, double v)
     return (half_c * v) * v;
 }
 
-} // namespace
-
+/** One lane of the scalar kernel: phase-for-phase the arithmetic of
+ *  StaticBuffer::step, with every scalar early-out replaced by its
+ *  bitwise-no-op arithmetic form (see batch_stepper.hh). */
 void
-batchStepScalar(BatchLaneState &s)
-{
-    // Phase-for-phase the arithmetic of StaticBuffer::step on one lane,
-    // with every scalar early-out replaced by its bitwise-no-op
-    // arithmetic form (see batch_stepper.hh).  GCC may auto-vectorize
-    // this loop; lane-wise IEEE ops round identically either way.
-    for (int l = 0; l < BatchLaneState::kMaxLanes; ++l) {
-        const double half_c = s.halfC[l];
-        const double cap = s.capacitance[l];
-
-        // 1. Self-discharge: Capacitor::leak.  decay is 1.0 for
-        //    lossless/frozen lanes, making the multiply and the ledger
-        //    add bitwise no-ops (matching the scalar early-out).
-        const double v0 = s.v[l];
-        const double v1 = v0 * s.decay[l];
-        s.leaked[l] += laneEnergy(half_c, v0) - laneEnergy(half_c, v1);
-
-        // 2. Harvest: chargeFromPower (diode drop 0, floor 0.2 V) into
-        //    Capacitor::addCharge.  At zero power the charge is forced
-        //    to +0.0, so v1 + (+0.0)/C leaves the voltage bits alone,
-        //    exactly like the scalar P <= 0 early-out.
-        const double p = s.harvestW[l];
-        const double v_eff = std::max(v1, 0.2);
-        const double current = p / v_eff;
-        double q = current * s.dt;
-        if (!(p > 0.0))
-            q = 0.0;
-        double v2 = v1 + q / cap;
-        if (v2 < 0.0)
-            v2 = 0.0;
-        s.harvested[l] +=
-            laneEnergy(half_c, v2) - laneEnergy(half_c, v1);
-
-        // 3. Backend load: applyCurrent(-I, dt).  (-I)*dt and -(I*dt)
-        //    are the same bits (negation is exact), at I == 0 the
-        //    added -0.0/C term is again a bitwise no-op, and the
-        //    division's operands only move through the setters, so the
-        //    cached quotient is bitwise the per-step division.
-        double v3 = v2 + s.dqOverCap[l];
-        if (v3 < 0.0)
-            v3 = 0.0;
-        s.delivered[l] +=
-            laneEnergy(half_c, v2) - laneEnergy(half_c, v3);
-
-        // 4. Overvoltage protection: Capacitor::clip(clamp).
-        double v4 = v3;
-        if (v4 > s.clamp[l])
-            v4 = s.clamp[l];
-        s.clipped[l] += laneEnergy(half_c, v3) - laneEnergy(half_c, v4);
-
-        s.v[l] = v4;
-    }
-}
-
-bool
-batchStepQuiet(BatchLaneState &s)
-{
-    // With every lane unpowered and unloaded, phases 2-4 of the full
-    // kernel are bitwise no-ops (see the header comment), so only the
-    // leak phase remains -- unless a lane sits above its clamp (a fresh
-    // admission can seed that), in which case phase 4 would fire and we
-    // must not have mutated anything yet.  Check first, commit second.
-    double v1[BatchLaneState::kMaxLanes];
-    bool clips = false;
-    for (int l = 0; l < BatchLaneState::kMaxLanes; ++l) {
-        v1[l] = s.v[l] * s.decay[l];
-        clips |= v1[l] > s.clamp[l];
-    }
-    if (clips)
-        return false;
-    for (int l = 0; l < BatchLaneState::kMaxLanes; ++l) {
-        s.leaked[l] +=
-            laneEnergy(s.halfC[l], s.v[l]) - laneEnergy(s.halfC[l], v1[l]);
-        s.v[l] = v1[l];
-    }
-    return true;
-}
-
-namespace {
-
-/** One lane of batchStepScalar, same statements in the same order.
- *  Kept separate from the 8-lane loop so the hot all-lane kernel's
- *  codegen (auto-vectorization included) is not perturbed by another
- *  call site. */
-void
-stepOneLaneFull(BatchLaneState &s, int l)
+stepOneLane(BatchLaneState &s, int l)
 {
     const double half_c = s.halfC[l];
     const double cap = s.capacitance[l];
 
+    // 1. Self-discharge: Capacitor::leak.  decay is 1.0 for
+    //    lossless/frozen lanes, making the multiply and the ledger add
+    //    bitwise no-ops (matching the scalar early-out).
     const double v0 = s.v[l];
     const double v1 = v0 * s.decay[l];
     s.leaked[l] += laneEnergy(half_c, v0) - laneEnergy(half_c, v1);
 
+    // 2. Harvest: chargeFromPower (diode drop 0, floor 0.2 V) into
+    //    Capacitor::addCharge.  At zero power the charge is forced to
+    //    +0.0, so v1 + (+0.0)/C leaves the voltage bits alone, exactly
+    //    like the scalar P <= 0 early-out.
     const double p = s.harvestW[l];
     const double v_eff = std::max(v1, 0.2);
     const double current = p / v_eff;
@@ -128,11 +51,17 @@ stepOneLaneFull(BatchLaneState &s, int l)
         v2 = 0.0;
     s.harvested[l] += laneEnergy(half_c, v2) - laneEnergy(half_c, v1);
 
+    // 3. Backend load: applyCurrent(-I, dt).  (-I)*dt and -(I*dt) are
+    //    the same bits (negation is exact), at I == 0 the added -0.0/C
+    //    term is again a bitwise no-op, and the division's operands only
+    //    move through the setters, so the cached quotient is bitwise the
+    //    per-step division.
     double v3 = v2 + s.dqOverCap[l];
     if (v3 < 0.0)
         v3 = 0.0;
     s.delivered[l] += laneEnergy(half_c, v2) - laneEnergy(half_c, v3);
 
+    // 4. Overvoltage protection: Capacitor::clip(clamp).
     double v4 = v3;
     if (v4 > s.clamp[l])
         v4 = s.clamp[l];
@@ -144,10 +73,17 @@ stepOneLaneFull(BatchLaneState &s, int l)
 } // namespace
 
 void
+batchStepScalar(BatchLaneState &s)
+{
+    for (int l = 0; l < BatchLaneState::kMaxLanes; ++l)
+        stepOneLane(s, l);
+}
+
+void
 batchStepScalarLower(BatchLaneState &s)
 {
     for (int l = 0; l < BatchLaneState::kMaxLanes / 2; ++l)
-        stepOneLaneFull(s, l);
+        stepOneLane(s, l);
 }
 
 #ifndef REACT_HAVE_AVX2_KERNEL
@@ -266,20 +202,7 @@ BatchStepper::stepLane(int lane)
 {
     react_assert(lane >= 0 && lane < kMaxLanes,
                  "lane index %d out of range", lane);
-    // Per-lane quiet peephole, same reasoning as batchStepQuiet but for
-    // one lane: unpowered and unloaded means phases 2-4 are bitwise
-    // no-ops unless the post-leak voltage would clip.
-    if (!lanePowered[lane] && !laneLoaded[lane]) {
-        const double v0 = state.v[lane];
-        const double v1 = v0 * state.decay[lane];
-        if (!(v1 > state.clamp[lane])) {
-            state.leaked[lane] += detail::laneEnergy(state.halfC[lane], v0) -
-                detail::laneEnergy(state.halfC[lane], v1);
-            state.v[lane] = v1;
-            return;
-        }
-    }
-    detail::stepOneLaneFull(state, lane);
+    detail::stepOneLane(state, lane);
 }
 
 void

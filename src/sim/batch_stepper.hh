@@ -90,22 +90,6 @@ namespace detail {
 /** Portable lane kernel: the scalar operation sequence, per lane. */
 void batchStepScalar(BatchLaneState &s);
 
-/**
- * All-lane quiet-step peephole: when no lane harvests (!(P > 0)
- * everywhere) and no lane draws load (I == +-0 everywhere), phases 2-4
- * collapse to bitwise no-ops -- q and dq are forced (+-)0, x + (+-0.0)
- * leaves the nonnegative rail bits alone, the negative clamps cannot
- * fire, and the harvested/delivered/clipped accumulators each gain
- * +0.0, which never changes a never-negative total's bits.  Only the
- * leak phase remains: v *= decay plus the leaked-ledger add.  Returns
- * false WITHOUT touching state when any lane's post-leak voltage would
- * exceed its clamp (admission can seed a lane above the rail clamp);
- * the caller then runs the full kernel.  The caller asserts the
- * quiet precondition; BatchStepper::step() tracks it via its
- * setter-maintained powered/loaded lane counts.
- */
-bool batchStepQuiet(BatchLaneState &s);
-
 /** AVX2 lane kernel (batch_kernels_avx2.cc; only linked when the
  *  toolchain accepts -mavx2).  Bit-identical to batchStepScalar. */
 void batchStepAvx2(BatchLaneState &s);
@@ -184,7 +168,7 @@ class BatchStepper
     void setHarvestPower(int lane, double watts)
     {
         state.harvestW[lane] = watts;
-        // Track the quiet-step precondition exactly as the scalar
+        // Track quiet()'s precondition exactly as the scalar
         // kernel's harvest early-out sees it: q is forced to zero
         // unless P > 0 (NaN therefore counts as unpowered).
         const bool powered = watts > 0.0;
@@ -221,32 +205,20 @@ class BatchStepper
      */
     void freezeLane(int lane);
 
-    /**
-     * Advance every lane one dt (frozen lanes are bitwise no-ops).
-     * When no lane is powered or loaded -- tracked by the setters, so
-     * the check is two integer compares -- the quiet-step peephole
-     * (detail::batchStepQuiet) replaces the full kernel with the leak
-     * phase alone; the result is bit-identical either way.
-     */
-    void step()
-    {
-        if ((poweredLanes | loadedLanes) == 0 &&
-            detail::batchStepQuiet(state))
-            return;
-        stepFn(state);
-    }
+    /** Advance every lane one dt (frozen lanes are bitwise no-ops). */
+    void step() { stepFn(state); }
 
-    /** True when no lane is powered or loaded (the quiet-step
-     *  precondition the setters track).  Only harvest/load setter
-     *  calls can change this, never step() itself -- the batch
-     *  runner's dark-idle burst relies on that invariant. */
+    /** True when no lane is powered or loaded, as the setters track
+     *  it.  Only harvest/load setter calls can change this, never a
+     *  step itself -- the batch runner's dark-idle burst relies on that
+     *  invariant. */
     bool quiet() const { return (poweredLanes | loadedLanes) == 0; }
 
     /**
      * Advance ONE lane one dt through the scalar operation sequence
-     * (with the same per-lane quiet peephole).  Because a frozen or
-     * inert lane's step is a bitwise no-op, stepping only the live
-     * lanes is bit-identical to step() when every other lane is
+     * (the single-lane body batchStepScalar loops over).  Because a
+     * frozen or inert lane's step is a bitwise no-op, stepping only the
+     * live lanes is bit-identical to step() when every other lane is
      * frozen -- the batch runner uses this for ragged tails where one
      * or two cells outlive the rest and a full-width vector step would
      * waste the divider on no-op lanes.
@@ -260,17 +232,9 @@ class BatchStepper
      * nothing).  The batch runner uses this for ragged tails: under LPT
      * admission the longest cells hold the lowest slots, so once the
      * short cells drain only the lower half is live and a half-width
-     * vector step halves the divider chain.  Shares the quiet-step
-     * peephole with step() (the quiet leak touches all 8 lanes, but a
-     * frozen upper lane's leak is itself a bitwise no-op).
+     * vector step halves the divider chain.
      */
-    void stepLower()
-    {
-        if ((poweredLanes | loadedLanes) == 0 &&
-            detail::batchStepQuiet(state))
-            return;
-        stepLowerFn(state);
-    }
+    void stepLower() { stepLowerFn(state); }
 
     /** @name Lane readout. @{ */
     double voltage(int lane) const { return state.v[lane]; }
@@ -288,7 +252,7 @@ class BatchStepper
     simd::Kernel activeKernel;
     void (*stepFn)(BatchLaneState &);
     void (*stepLowerFn)(BatchLaneState &);
-    /** @name Quiet-step eligibility tracking (see step()). @{ */
+    /** @name Powered/loaded lane tracking (see quiet()). @{ */
     int poweredLanes = 0;
     int loadedLanes = 0;
     bool lanePowered[kMaxLanes] = {};

@@ -162,7 +162,11 @@ struct FaultEvent
 class FaultInjector
 {
   public:
-    explicit FaultInjector(const FaultPlan &plan, uint64_t seed = 0x5eedull);
+    /** Master seed of every experiment's injector. */
+    static constexpr uint64_t kMasterSeed = 0x5eedull;
+
+    explicit FaultInjector(const FaultPlan &plan,
+                           uint64_t seed = kMasterSeed);
 
     const FaultPlan &plan() const { return faultPlan; }
 

@@ -43,20 +43,11 @@ std::optional<long long> intVar(const char *name, long long min,
 std::optional<uint64_t> u64Var(const char *name, uint64_t min,
                                uint64_t max);
 
-/** Finite double in [min, max]; same strictness as intVar. */
-std::optional<double> doubleVar(const char *name, double min, double max);
-
 /**
  * Non-empty string.  An empty value is treated as unset (the historical
  * REACT_CHECKPOINT_DIR= behaviour), without a warning.
  */
 std::optional<std::string> stringVar(const char *name);
-
-/**
- * Boolean: 1/on/true/yes -> true, 0/off/false/no -> false (ASCII
- * case-insensitive).  Anything else warns and returns nullopt.
- */
-std::optional<bool> boolVar(const char *name);
 
 } // namespace env
 } // namespace react

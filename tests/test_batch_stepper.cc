@@ -928,7 +928,7 @@ TEST(BatchStepperKernel, NarrowStepsMatchFullWidth)
     // stepLower() (4-wide) must track step() (8-wide) bitwise, and with
     // all but one lane frozen, stepLane() must as well -- on every
     // kernel, through randomized power/load schedules including
-    // all-dark (quiet-peephole) stretches.
+    // all-dark stretches (the dark-idle burst's pure-leak steps).
     for (const auto kernel : availableKernels()) {
         SCOPED_TRACE(sim::simd::kernelName(kernel));
         Rng rng(4242);

@@ -458,6 +458,21 @@ TEST(Protocol, ResultCodecRoundTripsEveryField)
                 res.ledger.harvested.raw());
 }
 
+TEST(Protocol, JobStateByteOutsideTheEnumIsRejected)
+{
+    // Wire values 0, 1, 2, 4 and 5 are the job states; 3 is unassigned.
+    for (const int byte : {0, 1, 2, 3, 4, 5, 6, 255}) {
+        SCOPED_TRACE(byte);
+        const std::vector<uint8_t> payload = {static_cast<uint8_t>(byte)};
+        WireReader r(payload);
+        const bool valid = byte <= 2 || byte == 4 || byte == 5;
+        if (valid)
+            EXPECT_EQ(static_cast<int>(decodeJobState(r)), byte);
+        else
+            EXPECT_THROW(decodeJobState(r), ProtocolError);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Fault injection
 
@@ -1601,6 +1616,80 @@ TEST(ServerOutbuf, NeverPollingClientCannotBalloonServerMemory)
     harness::ParallelRunner::clearStopRequest();
 }
 
+TEST(ClientJobState, OutOfRangeStateByteIsRetriedNotReported)
+{
+    // A minimal RNET peer: it answers the first Submit with a Submitted
+    // frame whose state byte is 0xFF, and serves the job on the next
+    // Submit or Poll.  The client must take the bad byte as a transient
+    // protocol fault (reconnect, resubmit) and never hand it to
+    // on_progress.
+    Socket listener = listenTcp("127.0.0.1", 0);
+    const uint16_t port = boundTcpPort(listener.fd());
+    const JobSpec spec = quickSpec();
+    WireWriter rw;
+    encodeResult(rw, harness::ExperimentResult{});
+    const std::vector<uint8_t> result_bytes = rw.take();
+    int submits = 0;
+    std::thread peer([&] {
+        try {
+            for (int conn_no = 0; conn_no < 2; ++conn_no) {
+                if (!waitReadable(listener.fd(), 10000))
+                    return;
+                Socket conn = acceptOn(listener.fd());
+                FrameDecoder decoder;
+                for (;;) {
+                    Frame f;
+                    bool got = decoder.next(&f);
+                    while (!got) {
+                        uint8_t buf[4096];
+                        const size_t n =
+                            recvSome(conn.fd(), buf, sizeof(buf), 10000);
+                        if (n == 0)
+                            break;
+                        decoder.feed(buf, n);
+                        got = decoder.next(&f);
+                    }
+                    if (!got)
+                        break;  // client hung up: expect a reconnect
+                    std::vector<uint8_t> reply;
+                    bool served = false;
+                    if (f.type == static_cast<uint8_t>(MsgType::Hello)) {
+                        reply = makeHelloOk();
+                    } else if (f.type ==
+                                   static_cast<uint8_t>(MsgType::Submit) &&
+                               submits++ == 0) {
+                        reply = makeSubmitted(spec.jobId(),
+                                              static_cast<JobState>(0xFF));
+                    } else {
+                        reply = makeJobResult(spec.jobId(), result_bytes);
+                        served = true;
+                    }
+                    sendAll(conn.fd(), reply.data(), reply.size(), 10000);
+                    if (served)
+                        return;
+                }
+            }
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "fake server: " << e.what();
+        }
+    });
+
+    ClientConfig cc;
+    cc.endpoint = "tcp:127.0.0.1:" + std::to_string(port);
+    cc.retry.initialBackoffMs = 1.0;
+    Client client(cc);
+    std::vector<int> seen;
+    const JobOutcome outcome = client.runJob(
+        spec, [&seen](JobState s) { seen.push_back(static_cast<int>(s)); });
+    peer.join();
+
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), 0xFF), 0)
+        << "an out-of-range state byte reached on_progress";
+    EXPECT_EQ(outcome.resultBytes, result_bytes);
+    EXPECT_EQ(submits, 2);
+    EXPECT_EQ(client.stats().retries, 1u);
+}
+
 // ---------------------------------------------------------------------
 // EINTR discipline: a 1 ms interval timer hammers every blocking socket
 // call with signals; transfers must still complete and timeouts must
@@ -1631,7 +1720,7 @@ class IntervalTimerScope
     static int fired() { return fired_; }
 
   private:
-    static void onAlarm(int) { ++fired_; }
+    static void onAlarm(int) { fired_ = fired_ + 1; }
     static volatile sig_atomic_t fired_;
     struct sigaction previous_ = {};
     struct itimerval previous_timer_ = {};

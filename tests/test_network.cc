@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "buffers/capacitor_network.hh"
+#include "snapshot/snapshot.hh"
 #include "util/units.hh"
 
 namespace react {
@@ -184,6 +185,37 @@ TEST(Network, LeakDrainsAllUnits)
     EXPECT_NEAR(net.storedEnergy().raw(), (e_before - lost).raw(), 1e-15);
     EXPECT_LT(net.unitVoltage(0).raw(), 3.0);
     EXPECT_LT(net.unitVoltage(1).raw(), 2.0);
+}
+
+TEST(Network, EquivalentCapacitanceFollowsArrangementAndRestore)
+{
+    // The network keeps its equivalent capacitance as a value rebuilt
+    // when the arrangement or the unit capacitance changes; every read
+    // must equal the config's own sum, bit for bit.
+    NetworkConfig mixed;
+    mixed.branches = {{0, 1}, {2}, {3, 4, 5}};
+    CapacitorNetwork net(6, unitSpec(Farads(1e-3)));
+    for (const NetworkConfig &cfg :
+         {chainConfig(4), parallelConfig(6), mixed, NetworkConfig{}}) {
+        net.reconfigure(cfg);
+        EXPECT_EQ(net.equivalentCapacitance().raw(),
+                  cfg.equivalentCapacitance(Farads(1e-3)).raw());
+    }
+
+    // Restoring units of another size into an arranged network moves
+    // the sum with them.
+    CapacitorNetwork bigger(6, unitSpec(Farads(2e-3)));
+    snapshot::SnapshotWriter w;
+    w.beginSection("net");
+    bigger.save(w);
+    w.endSection();
+    net.reconfigure(mixed);
+    snapshot::SnapshotReader r(w.finish());
+    r.beginSection("net");
+    net.restore(r);
+    r.endSection();
+    EXPECT_EQ(net.equivalentCapacitance().raw(),
+              mixed.equivalentCapacitance(Farads(2e-3)).raw());
 }
 
 TEST(Network, ClipOutputBurnsExcess)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the static buffer (the paper's baselines) and the
- * Capybara-style multiplexed extension: charge/discharge physics,
+ * Dewdrop-style enable-voltage policy: charge/discharge physics,
  * overvoltage clipping, reactivity-longevity arithmetic, and ledger
  * conservation.
  */
@@ -11,7 +11,6 @@
 #include <cmath>
 
 #include "buffers/dewdrop_policy.hh"
-#include "buffers/multiplexed_buffer.hh"
 #include "buffers/static_buffer.hh"
 #include "harness/paper_setup.hh"
 #include "util/units.hh"
@@ -125,65 +124,6 @@ TEST(StaticBuffer, AdaptiveSurfaceIsInert)
     buf.requestMinLevel(5);
     EXPECT_TRUE(buf.levelSatisfied());
     EXPECT_DOUBLE_EQ(buf.softwareOverheadFraction(), 0.0);
-}
-
-TEST(MultiplexedBuffer, SpillsToSecondaryWhenActiveFull)
-{
-    std::vector<sim::CapacitorSpec> caps = {
-        harness::staticBufferSpec(Farads(1e-3)),
-        harness::staticBufferSpec(Farads(10e-3)),
-    };
-    MultiplexedBuffer buf(caps);
-    run(buf, 60.0, 5e-3, 0.0);
-    // Active (small) cap pegged at the clamp, spill charged the backup.
-    EXPECT_NEAR(buf.capVoltage(0).raw(), 3.6, 1e-6);
-    EXPECT_GT(buf.capVoltage(1).raw(), 1.0);
-    expectConservation(buf);
-}
-
-TEST(MultiplexedBuffer, ModeSwitchChangesRail)
-{
-    std::vector<sim::CapacitorSpec> caps = {
-        harness::staticBufferSpec(Farads(1e-3)),
-        harness::staticBufferSpec(Farads(10e-3)),
-    };
-    MultiplexedBuffer buf(caps);
-    run(buf, 8.0, 5e-3, 0.0);
-    const Volts v_small = buf.railVoltage();
-    buf.selectActive(1);
-    EXPECT_EQ(buf.capacitanceLevel(), 1);
-    EXPECT_NE(buf.railVoltage().raw(), v_small.raw());
-    EXPECT_NEAR(buf.equivalentCapacitance().raw(), 10e-3, 1e-9);
-}
-
-TEST(MultiplexedBuffer, StrandedEnergyOnSecondary)
-{
-    // The S 2.3 critique: energy parked on a half-charged secondary
-    // capacitor is unusable by the active rail.
-    std::vector<sim::CapacitorSpec> caps = {
-        harness::staticBufferSpec(Farads(1e-3)),
-        harness::staticBufferSpec(Farads(10e-3)),
-    };
-    MultiplexedBuffer buf(caps);
-    run(buf, 8.0, 5e-3, 0.0);
-    ASSERT_GT(buf.capVoltage(1).raw(), 0.5);
-    ASSERT_LT(buf.capVoltage(1).raw(), 3.3);
-    // Draining the active capacitor does not touch the secondary.
-    const Volts v1 = buf.capVoltage(1);
-    run(buf, 2.0, 0.0, 1.5e-3);
-    EXPECT_NEAR(buf.capVoltage(1).raw(), v1.raw(), 0.01);
-}
-
-TEST(MultiplexedBuffer, ClipsWhenEverythingFull)
-{
-    std::vector<sim::CapacitorSpec> caps = {
-        harness::staticBufferSpec(Farads(1e-3)),
-        harness::staticBufferSpec(Farads(2e-3)),
-    };
-    MultiplexedBuffer buf(caps);
-    run(buf, 120.0, 5e-3, 0.0);
-    EXPECT_GT(buf.ledger().clipped.raw(), 0.0);
-    expectConservation(buf);
 }
 
 TEST(DewdropPolicy, EnableVoltageCoversTaskEnergy)
