@@ -105,8 +105,38 @@ class CapacitorNetwork
      */
     void addChargeAtOutput(Coulombs dq);
 
-    /** Apply self-discharge to every unit; returns energy leaked. */
-    Joules leak(Seconds dt);
+    /**
+     * The one-sweep form of a run of addChargeAtOutput(dq[p]) calls,
+     * each followed by storedEnergy(), for p in [0, count).  One pass
+     * over the units in index order applies every charge to each
+     * connected unit in turn and adds the unit's energy to that
+     * charge's sum; a disconnected unit adds its unchanged energy to
+     * every sum.  @p stored_after[p] receives the storedEnergy() the
+     * p-th call would have left, bit for bit: each unit sees the same
+     * voltage steps in the same order, and each sum adds the same unit
+     * energies in the same order.  The scratch space is sized at
+     * construction, so this allocates nothing.
+     *
+     * @param dq Output-node charges, applied in order.
+     * @param count Number of charges, at most kMaxOutputCharges.
+     * @param stored_after Stored energy after each charge (count slots).
+     */
+    void addChargesAtOutput(const Coulombs *dq, int count,
+                            Joules *stored_after);
+
+    /** Most charges one addChargesAtOutput() call applies. */
+    static constexpr int kMaxOutputCharges = 4;
+
+    /** What leak() lost, and the storedEnergy() it left. */
+    struct LeakResult
+    {
+        Joules lost{0.0};
+        Joules stored{0.0};
+    };
+
+    /** Apply self-discharge to every unit; returns the energy leaked
+     *  and the stored energy left, summed in one pass. */
+    LeakResult leak(Seconds dt);
 
     /**
      * Clamp the output node to the given ceiling; the excess is burned.
@@ -140,48 +170,74 @@ class CapacitorNetwork
      *  returns the energy dissipated. */
     Joules equalizeConnected();
 
-    /** Validate an arrangement, rebuild connectedFlags, and compile the
-     *  flattened step state from it. */
+    /** Validate an arrangement and compile the flattened step state and
+     *  the unit -> branch map from it. */
     void adoptConfig(const NetworkConfig &next);
 
-    std::vector<sim::Capacitor> units;
+    /** Recompute the value caches (branchCaps, classCaps, eqCap) from
+     *  the compiled arrangement and the unit capacitance. */
+    void rebuildValueCaches();
 
-    /** Per-unit connected flag, maintained by adoptConfig(); lets the
-     *  per-step clip pass skip the old std::set rebuild (the engine's
-     *  last per-step heap allocation). */
-    std::vector<uint8_t> connectedFlags;
+    /**
+     * Voltage step every member of a branch of series capacitance
+     * @p series_cap takes for an output charge that moves the node by
+     * @p dv: the branch's charge over the unit capacitance, which is
+     * addCharge()'s division, done once per branch -- or once per size
+     * class, since equal-size branches take the same step.  Exact for
+     * every member because all units share one capacitance (restore()
+     * rejects a checkpoint where they do not).
+     */
+    Volts seriesStep(Farads series_cap, Volts dv) const
+    {
+        return series_cap * dv / units[0].capacitance();
+    }
+
+    std::vector<sim::Capacitor> units;
 
     /**
      * @name Flattened step state (compiled at adoptConfig() time)
      *
-     * The per-step passes used to walk the arrangement's nested
-     * vector<vector<int>> -- a pointer chase per branch, per step.
-     * adoptConfig() instead compiles the arrangement once into three
-     * contiguous arrays so every pass is a linear sweep: the connected
-     * unit indices in branch-major config order, the half-open span of
-     * branch b in that array, and each branch's member count as the
-     * double the series-capacitance division consumes.  Capacity is
-     * reserved to the unit count at construction (each unit appears at
-     * most once), so recompilation never allocates.  Iteration order and
-     * arithmetic match the nested walk exactly; results stay
-     * bit-identical.
+     * adoptConfig() compiles the arrangement into contiguous arrays so
+     * every pass is a linear sweep: the connected unit indices in
+     * branch-major config order, the half-open span of branch b in that
+     * array, the distinct branch sizes, and each unit's size class (its
+     * branch's index into classSizes, -1 when disconnected; the clip
+     * pass and the one-sweep charge pass read it in index order).
+     * Capacity is reserved to the unit count at construction (each unit
+     * appears at most once), so recompilation never allocates.
+     * Iteration order and arithmetic match a walk of the nested config
+     * exactly; results stay bit-identical.
      * @{
      */
     std::vector<int32_t> flatUnits;
-    /** branchSizes.size() + 1 offsets into flatUnits. */
+    /** branchCaps.size() + 1 offsets into flatUnits. */
     std::vector<int32_t> branchOffsets;
-    std::vector<double> branchSizes;
+    std::vector<int32_t> classSizes;
+    std::vector<int32_t> unitClass;
+    /** @} */
+
     /**
-     * Equivalent capacitance of the compiled arrangement.  A value
-     * cache rebuilt where its operands change -- adoptConfig() for the
-     * arrangement, restore() for the unit capacitance -- so the several
-     * reads per Morphy step are a load, not a division per branch.
+     * @name Value caches
+     *
+     * Rebuilt where their operands change -- adoptConfig() for the
+     * arrangement, restore() for the unit capacitance -- so the reads
+     * on every Morphy step are loads, not divisions.  Each holds the
+     * value of the expression it replaces, evaluated the same way.
+     * @{
      */
+    /** Series capacitance of each branch: unit_cap / member count. */
+    std::vector<Farads> branchCaps;
+    /** The same per size class: unit_cap / classSizes[k]. */
+    std::vector<Farads> classCaps;
+    /** Equivalent capacitance: the branchCaps summed in branch order,
+     *  the operation sequence of NetworkConfig::equivalentCapacitance(). */
     Farads eqCap{0.0};
     /** @} */
 
-    /** Recompute eqCap from branchSizes and the unit capacitance. */
-    void rebuildEqCap();
+    /** addChargesAtOutput() scratch: each size class's step for each
+     *  charge, class-major (kMaxOutputCharges per class).  Sized at
+     *  construction. */
+    std::vector<Volts> chargeSteps;
 
   public:
     /** Not copyable: nothing copies a network, and a copy would drop the
@@ -191,9 +247,9 @@ class CapacitorNetwork
 };
 
 // Per-step passes, inline so they fold into the owning buffer's step():
-// Morphy touches the network several times per engine step (leak, the
-// standing-balance equalization, input/load routing, clip), and the
-// cross-TU call overhead of these sweeps dominated its step cost.
+// Morphy touches the network on every engine step (leak, the one-sweep
+// charge pass, clip), and the cross-TU call overhead of these sweeps
+// dominated its step cost.
 
 inline Volts
 CapacitorNetwork::flatBranchVoltage(std::size_t b) const
@@ -211,7 +267,7 @@ CapacitorNetwork::outputVoltage() const
 {
     // Between reconfigurations the connected branches stay equalized, so
     // any branch's terminal voltage is the node voltage.
-    if (branchSizes.empty())
+    if (branchCaps.empty())
         return Volts(0.0);
     return flatBranchVoltage(0);
 }
@@ -239,31 +295,65 @@ CapacitorNetwork::connectedEnergy() const
 inline void
 CapacitorNetwork::addChargeAtOutput(Coulombs dq)
 {
-    if (branchSizes.empty())
+    if (branchCaps.empty())
         return;
-    const Farads c_eq = equivalentCapacitance();
-    const Volts dv = dq / c_eq;
-    const Farads unit_cap = units[0].capacitance();
-    for (std::size_t b = 0; b < branchSizes.size(); ++b) {
-        const Coulombs dq_br = unit_cap / branchSizes[b] * dv;
+    const Volts dv = dq / eqCap;
+    for (std::size_t b = 0; b < branchCaps.size(); ++b) {
+        const Volts step = seriesStep(branchCaps[b], dv);
         const int32_t end = branchOffsets[b + 1];
         for (int32_t k = branchOffsets[b]; k < end; ++k)
             units[static_cast<size_t>(flatUnits[static_cast<size_t>(k)])]
-                .addCharge(dq_br);
+                .shiftVoltage(step);
     }
 }
 
-inline Joules
+inline void
+CapacitorNetwork::addChargesAtOutput(const Coulombs *dq, int count,
+                                     Joules *stored_after)
+{
+    const auto n = static_cast<std::size_t>(count);
+    if (!branchCaps.empty()) {
+        for (std::size_t p = 0; p < n; ++p) {
+            const Volts dv = dq[p] / eqCap;
+            for (std::size_t k = 0; k < classCaps.size(); ++k)
+                chargeSteps[k * kMaxOutputCharges + p] =
+                    seriesStep(classCaps[k], dv);
+        }
+    }
+    Joules sums[kMaxOutputCharges] = {};
+    for (std::size_t i = 0; i < units.size(); ++i) {
+        sim::Capacitor &unit = units[i];
+        const int32_t k = unitClass[i];
+        if (k < 0) {
+            const Joules e = unit.energy();
+            for (std::size_t p = 0; p < n; ++p)
+                sums[p] += e;
+            continue;
+        }
+        const Volts *step =
+            &chargeSteps[static_cast<std::size_t>(k) * kMaxOutputCharges];
+        for (std::size_t p = 0; p < n; ++p) {
+            unit.shiftVoltage(step[p]);
+            sums[p] += unit.energy();
+        }
+    }
+    for (std::size_t p = 0; p < n; ++p)
+        stored_after[p] = sums[p];
+}
+
+inline CapacitorNetwork::LeakResult
 CapacitorNetwork::leak(Seconds dt)
 {
-    Joules lost{0.0};
-    for (auto &unit : units)
-        lost += unit.leak(dt);
+    LeakResult r;
+    for (auto &unit : units) {
+        r.lost += unit.leak(dt);
+        r.stored += unit.energy();
+    }
     // Leakage perturbs series-chain balance only within a chain (all units
     // decay by the same factor, so equal units stay equal); connected
     // branches may drift apart slightly, which the next equalization
     // charges back -- physically this is the standing balancing current.
-    return lost;
+    return r;
 }
 
 inline Joules
@@ -271,16 +361,16 @@ CapacitorNetwork::clipOutput(Volts ceiling)
 {
     Joules clipped{0.0};
     const Volts v_out = outputVoltage();
-    if (!branchSizes.empty() && v_out > ceiling) {
+    if (!branchCaps.empty() && v_out > ceiling) {
         const Joules e_before = connectedEnergy();
         addChargeAtOutput(equivalentCapacitance() * (ceiling - v_out));
         clipped += e_before - connectedEnergy();
     }
-    // Disconnected units are bounded only by their rating; the flags are
+    // Disconnected units are bounded only by their rating; the map is
     // maintained by adoptConfig() so this pass allocates nothing per step.
-    for (int i = 0; i < unitCount(); ++i) {
-        if (!connectedFlags[static_cast<size_t>(i)])
-            clipped += units[static_cast<size_t>(i)].clip();
+    for (std::size_t i = 0; i < units.size(); ++i) {
+        if (unitClass[i] < 0)
+            clipped += units[i].clip();
     }
     return clipped;
 }

@@ -54,7 +54,8 @@ buildLadder(int unit_count)
 MorphyBuffer::MorphyBuffer(const MorphyParams &morphy_params)
     : params(morphy_params), task(morphy_params.taskCap),
       network(morphy_params.unitCount, morphy_params.unitCap),
-      configs(buildLadder(morphy_params.unitCount))
+      configs(buildLadder(morphy_params.unitCount)),
+      pollPeriod(1.0 / morphy_params.pollRateHz)
 {
     react_assert(params.vHigh > params.vLow, "thresholds must be ordered");
     react_assert(params.railClamp >= params.vHigh,
@@ -112,8 +113,8 @@ MorphyBuffer::usableEnergyAtLevel(int level) const
     return units::capEnergyWindow(c, params.vHigh, params.vLow);
 }
 
-void
-MorphyBuffer::addRailCharge(Coulombs dq)
+Coulombs
+MorphyBuffer::splitRailCharge(Coulombs dq)
 {
     // Between reconfigurations the connected network tracks the task cap,
     // so charge splits proportionally to capacitance.
@@ -121,8 +122,7 @@ MorphyBuffer::addRailCharge(Coulombs dq)
     const Farads c_total = task.capacitance() + c_net;
     const Volts dv = dq / c_total;
     task.addCharge(task.capacitance() * dv);
-    if (c_net > Farads(0.0))
-        network.addChargeAtOutput(c_net * dv);
+    return c_net * dv;
 }
 
 void
@@ -193,7 +193,7 @@ MorphyBuffer::step(Seconds dt, Watts input_power, Amps load_current)
     if (faults != nullptr &&
         faults->plan().capacitanceFadePerHour > 0.0) {
         agingAccumulator += dt;
-        if (agingAccumulator >= 1.0 / params.pollRateHz) {
+        if (agingAccumulator >= pollPeriod) {
             agingAccumulator = Seconds(0.0);
             energyLedger.faultLoss += task.setCapacitance(
                 params.taskCap.capacitance *
@@ -202,62 +202,89 @@ MorphyBuffer::step(Seconds dt, Watts input_power, Amps load_current)
     }
 
     // 1. Self-discharge everywhere.
-    energyLedger.leaked += task.leak(dt) + network.leak(dt);
+    const CapacitorNetwork::LeakResult net_leak = network.leak(dt);
+    energyLedger.leaked += task.leak(dt) + net_leak.lost;
 
-    // Asymmetric leakage pulls the network a hair below the task
-    // capacitor each step; physically they share the output node, so a
-    // standing balancing current keeps them equalized.  Restore the
-    // invariant and charge the (tiny) redistribution loss to leakage.
-    const Farads c_net_node = network.equivalentCapacitance();
-    if (c_net_node > Farads(0.0)) {
+    // Steps 1b-4 each move the task capacitor and hand the network one
+    // output-node charge.  None of them reads a unit voltage other than
+    // the post-leak node voltage, so every charge is known before any
+    // unit moves: the task side runs here as scalars, the network applies
+    // all the charges in one sweep, and each phase books the measured
+    // (task + network) energy change across it -- the bracket a pair of
+    // storedEnergy() calls around the phase would compute.
+    constexpr int kMaxPhases = CapacitorNetwork::kMaxOutputCharges;
+    Joules *lines[kMaxPhases];
+    bool gains[kMaxPhases];
+    Coulombs net_charge[kMaxPhases];
+    Joules task_e[kMaxPhases + 1];
+    Joules net_e[kMaxPhases + 1];
+    int count = 0;
+    task_e[0] = task.energy();
+    net_e[0] = net_leak.stored;
+    // Close a phase: its ledger line, whether it books the energy gained
+    // (after - before) rather than lost, and the network's charge.
+    const auto phase = [&](Joules *line, bool gain, Coulombs to_network) {
+        lines[count] = line;
+        gains[count] = gain;
+        net_charge[count] = to_network;
+        task_e[++count] = task.energy();
+    };
+
+    // 1b. Asymmetric leakage pulls the network a hair below the task
+    //     capacitor each step; physically they share the output node, so
+    //     a standing balancing current keeps them equalized.  Restore the
+    //     invariant and charge the (tiny) redistribution loss to leakage,
+    //     measured, not modeled, for the same zero-floor reason as
+    //     applyConfig.
+    const Farads c_net = network.equivalentCapacitance();
+    if (c_net > Farads(0.0)) {
         const Volts v_net = network.outputVoltage();
         const Volts v_task = task.voltage();
         if (v_net != v_task) {
-            const Volts v_common =
-                (task.charge() + c_net_node * v_net) /
-                (task.capacitance() + c_net_node);
-            // Measured, not modeled, for the same zero-floor reason as
-            // applyConfig: the redistribution must balance the ledger.
-            const Joules e_before =
-                task.energy() + network.storedEnergy();
-            network.addChargeAtOutput(c_net_node * (v_common - v_net));
+            const Volts v_common = (task.charge() + c_net * v_net) /
+                (task.capacitance() + c_net);
+            const Coulombs to_network = c_net * (v_common - v_net);
             task.setVoltage(v_common);
-            energyLedger.leaked +=
-                e_before - (task.energy() + network.storedEnergy());
+            phase(&energyLedger.leaked, false, to_network);
         }
     }
 
     // 2. Harvested input lands on the common rail node.
     if (input_power > Watts(0.0)) {
         const Volts v_eff = std::max(railVoltage(), Volts(0.2));
-        const Joules e_before = storedEnergy();
-        addRailCharge(input_power / v_eff * dt);
-        energyLedger.harvested += storedEnergy() - e_before;
+        phase(&energyLedger.harvested, true,
+              splitRailCharge(input_power / v_eff * dt));
     }
 
     // 3. Backend load.
-    if (load_current > Amps(0.0)) {
-        const Joules e_before = storedEnergy();
-        addRailCharge(-load_current * dt);
-        energyLedger.delivered += e_before - storedEnergy();
-    }
+    if (load_current > Amps(0.0))
+        phase(&energyLedger.delivered, false,
+              splitRailCharge(-load_current * dt));
 
     // 4. Overvoltage protection on the rail; disconnected units clamp to
     //    their rating inside the network.
     if (railVoltage() > params.railClamp) {
-        const Joules e_before = storedEnergy();
         const Farads c_total = equivalentCapacitance();
-        addRailCharge(c_total * (params.railClamp - railVoltage()));
-        energyLedger.clipped += e_before - storedEnergy();
+        phase(&energyLedger.clipped, false,
+              splitRailCharge(c_total * (params.railClamp - railVoltage())));
+    }
+
+    if (count > 0 && c_net > Farads(0.0))
+        network.addChargesAtOutput(net_charge, count, net_e + 1);
+    else
+        std::fill(net_e + 1, net_e + 1 + count, net_leak.stored);
+    for (int p = 0; p < count; ++p) {
+        const Joules before = task_e[p] + net_e[p];
+        const Joules after = task_e[p + 1] + net_e[p + 1];
+        *lines[p] += gains[p] ? after - before : before - after;
     }
     energyLedger.clipped += network.clipOutput(params.railClamp);
 
     // 5. Battery-powered controller polls at its fixed rate regardless of
     //    the backend's power state.
     pollAccumulator += dt;
-    const Seconds poll_period = 1.0 / params.pollRateHz;
-    while (pollAccumulator >= poll_period) {
-        pollAccumulator -= poll_period;
+    while (pollAccumulator >= pollPeriod) {
+        pollAccumulator -= pollPeriod;
         pollController();
     }
 }

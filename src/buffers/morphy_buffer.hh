@@ -83,8 +83,13 @@ class MorphyBuffer final : public EnergyBuffer
     void restore(snapshot::SnapshotReader &r) override;
 
   private:
-    /** Redistribute a signed rail charge across task cap and network. */
-    void addRailCharge(Coulombs dq);
+    /**
+     * Split a signed rail charge between the task capacitor and the
+     * network in proportion to capacitance: apply the task's share and
+     * return the network's, which the caller adds at the network's
+     * output.
+     */
+    Coulombs splitRailCharge(Coulombs dq);
 
     /** One controller decision at the poll rate. */
     void pollController();
@@ -96,6 +101,9 @@ class MorphyBuffer final : public EnergyBuffer
     sim::Capacitor task;
     CapacitorNetwork network;
     std::vector<NetworkConfig> configs;
+    /** 1 / params.pollRateHz: the poll period, which is also the aging
+     *  cadence.  The parameters are fixed after construction. */
+    Seconds pollPeriod;
     int configIndex = 0;
     int requestedLevel = 0;
     Seconds pollAccumulator{0.0};

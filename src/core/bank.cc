@@ -45,22 +45,6 @@ CapacitorBank::setState(BankState state)
 }
 
 void
-CapacitorBank::addChargeAtTerminal(Coulombs dq)
-{
-    react_assert(connected(), "cannot move charge on a disconnected bank");
-    if (bankState == BankState::Series) {
-        // The same charge flows through every series member.
-        unit.addCharge(dq);
-        return;
-    }
-    const double n = static_cast<double>(members);
-    Volts v = unit.voltage() + dq / (n * unit.capacitance());
-    if (v < Volts(0))
-        v = Volts(0);
-    unit.setVoltage(v);
-}
-
-void
 CapacitorBank::save(snapshot::SnapshotWriter &w) const
 {
     w.u8(static_cast<uint8_t>(bankState));

@@ -22,6 +22,8 @@
 #define REACT_CORE_BANK_HH
 
 #include "sim/capacitor.hh"
+#include "sim/charge_transfer.hh"
+#include "util/logging.hh"
 
 namespace react {
 namespace snapshot {
@@ -110,6 +112,16 @@ class CapacitorBank
     /** Capacitance presented at the terminals; 0 when disconnected. */
     Farads terminalCapacitance() const;
 
+    /**
+     * The terminals as a plain capacitance and voltage, for the
+     * charge-transfer integrators.  A copy: write the charge it moved
+     * back with addChargeAtTerminal().  Must be connected.
+     */
+    sim::Terminal terminal() const
+    {
+        return sim::Terminal{terminalCapacitance(), terminalVoltage()};
+    }
+
     /** Total stored energy (retained even while disconnected). */
     Joules storedEnergy() const;
 
@@ -154,8 +166,9 @@ class CapacitorBank
 };
 
 // Inline definitions for the per-step leaf operations: REACT touches
-// every bank every engine step (leak, clip, terminal reads), so these
-// must inline into the buffer's step() rather than pay a cross-TU call.
+// every bank every engine step (leak, clip, terminal reads, charge
+// moves), so these must inline into the buffer's step() rather than pay
+// a cross-TU call.
 
 inline Farads
 BankSpec::seriesCapacitance() const
@@ -203,27 +216,43 @@ CapacitorBank::storedEnergy() const
     return static_cast<double>(members) * unit.energy();
 }
 
-// leak() and clipToRating() book the count-scaled delta.  A unit delta
-// of exactly 0 means the unit's energy did not change, so the bank's
-// delta is 0 too; returning early lets the common no-op step skip the
-// count-scaled products.
+inline void
+CapacitorBank::addChargeAtTerminal(Coulombs dq)
+{
+    react_assert(connected(), "cannot move charge on a disconnected bank");
+    if (bankState == BankState::Series) {
+        // The same charge flows through every series member.
+        unit.addCharge(dq);
+        return;
+    }
+    const double n = static_cast<double>(members);
+    unit.shiftVoltage(dq / (n * unit.capacitance()));
+}
+
+// leak() and clipToRating() book the count-scaled energy delta from two
+// unit energies, one before and one after: N * E_before - N * E_after,
+// the same bits as differencing storedEnergy() around the unit call.  A
+// unit delta of exactly 0 means the unit's energy did not change, so the
+// bank books 0 without the products.
 
 inline Joules
 CapacitorBank::leak(Seconds dt)
 {
-    const Joules before = storedEnergy();
+    const Joules before = unit.energy();
     if (unit.leak(dt) == Joules(0))
         return Joules(0);
-    return before - storedEnergy();
+    const double n = static_cast<double>(members);
+    return n * before - n * unit.energy();
 }
 
 inline Joules
 CapacitorBank::clipToRating()
 {
-    const Joules before = storedEnergy();
+    const Joules before = unit.energy();
     if (unit.clip() == Joules(0))
         return Joules(0);
-    return before - storedEnergy();
+    const double n = static_cast<double>(members);
+    return n * before - n * unit.energy();
 }
 
 } // namespace core

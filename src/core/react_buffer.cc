@@ -16,25 +16,6 @@ namespace core {
 
 namespace {
 
-/**
- * Capacitor view of a bank's terminals: lets the generic charge-transfer
- * integrator operate on a bank, with the charge delta written back through
- * the bank's own series/parallel arithmetic.
- */
-sim::Capacitor
-terminalView(const CapacitorBank &bank)
-{
-    sim::CapacitorSpec spec;
-    spec.capacitance = bank.terminalCapacitance();
-    spec.ratedVoltage = Volts(1e9);  // ratings are enforced by the bank
-    spec.leakageCurrentAtRated = Amps(0.0);
-    return sim::Capacitor(spec, bank.terminalVoltage());
-}
-
-} // namespace
-
-namespace {
-
 /** Floating-terminal threshold: below this a commanded-connected bank
  *  reads as not-actually-in-the-network. */
 constexpr Volts kFloatingVoltage{0.02};
@@ -50,7 +31,7 @@ bankComponent(int index, const char *part)
 
 ReactBuffer::ReactBuffer(const ReactConfig &config)
     : cfg(config), policy(static_cast<int>(config.banks.size())),
-      lastLevel(config.lastLevel)
+      lastLevel(config.lastLevel), pollPeriod(1.0 / config.pollRateHz)
 {
     std::string error;
     react_assert(cfg.validate(&error), "invalid REACT config: %s",
@@ -500,7 +481,7 @@ ReactBuffer::routeInput(Watts input_power, Seconds dt)
         energyLedger.diodeLoss += res.diodeLoss;
     } else {
         auto &bank = banks[static_cast<size_t>(target)];
-        sim::Capacitor view = terminalView(bank);
+        sim::Terminal view = bank.terminal();
         const Joules e_before = view.energy();
         const auto res = sim::chargeFromPower(view, input_power, dt,
                                               drop);
@@ -537,7 +518,7 @@ ReactBuffer::replenishLastLevel(Seconds dt)
                 // rail above the bank terminal bleeds into the bank.
                 // The resistive dissipation is fault-attributed.
                 if (lastLevel.voltage() > bank.terminalVoltage()) {
-                    sim::Capacitor view = terminalView(bank);
+                    sim::Terminal view = bank.terminal();
                     const auto back = sim::transferCharge(
                         lastLevel, view, resistance, Volts(0.0), dt,
                         &backTransfer[static_cast<size_t>(i)]);
@@ -550,7 +531,7 @@ ReactBuffer::replenishLastLevel(Seconds dt)
 
         if (bank.terminalVoltage() <= lastLevel.voltage() + drop)
             continue;
-        sim::Capacitor view = terminalView(bank);
+        sim::Terminal view = bank.terminal();
         const auto res = sim::transferCharge(view, lastLevel, resistance,
                                              drop, dt,
                                              &outTransfer[static_cast<size_t>(i)]);
@@ -569,8 +550,7 @@ ReactBuffer::step(Seconds dt, Watts input_power, Amps load_current)
     if (faults != nullptr &&
         faults->plan().capacitanceFadePerHour > 0.0) {
         agingAccumulator += dt;
-        const Seconds aging_period = 1.0 / cfg.pollRateHz;
-        if (agingAccumulator >= aging_period) {
+        if (agingAccumulator >= pollPeriod) {
             agingAccumulator = Seconds(0.0);
             applyAging();
         }
@@ -620,9 +600,8 @@ ReactBuffer::step(Seconds dt, Watts input_power, Amps load_current)
     // 6. Management software: polls only while the backend MCU is alive.
     if (backendOn) {
         pollAccumulator += dt;
-        const Seconds poll_period = 1.0 / cfg.pollRateHz;
-        while (pollAccumulator >= poll_period) {
-            pollAccumulator -= poll_period;
+        while (pollAccumulator >= pollPeriod) {
+            pollAccumulator -= pollPeriod;
             pollController();
         }
     }

@@ -170,6 +170,9 @@ class ReactBuffer final : public buffer::EnergyBuffer
     BankPolicy policy;
     sim::Capacitor lastLevel;
     std::vector<CapacitorBank> banks;
+    /** 1 / cfg.pollRateHz: the controller's poll period, which is also
+     *  the aging cadence.  The config is fixed after construction. */
+    Seconds pollPeriod;
 
     /** Controller level persisted in FRAM across power failures. */
     int level = 0;

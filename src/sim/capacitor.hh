@@ -102,6 +102,13 @@ class Capacitor
     void addCharge(Coulombs dq);
 
     /**
+     * Shift the terminal voltage by @p dv, flooring at 0 V: addCharge()
+     * after its division, for owners that divide the charge themselves
+     * (a parallel bank's N-way split, the network's per-branch step).
+     */
+    void shiftVoltage(Volts dv);
+
+    /**
      * Integrate a constant current over dt: dV = I dt / C.
      *
      * @param current Signed current (positive charges).
@@ -216,7 +223,13 @@ Capacitor::energy() const
 inline void
 Capacitor::addCharge(Coulombs dq)
 {
-    v += dq / partSpec.capacitance;
+    shiftVoltage(dq / partSpec.capacitance);
+}
+
+inline void
+Capacitor::shiftVoltage(Volts dv)
+{
+    v += dv;
     if (v < Volts(0))
         v = Volts(0);
 }

@@ -1,81 +1,9 @@
 #include "charge_transfer.hh"
 
 #include <algorithm>
-#include <cmath>
-
-#include "sim/hotloop_stats.hh"
-#include "util/logging.hh"
 
 namespace react {
 namespace sim {
-
-TransferResult
-transferCharge(Capacitor &source, Capacitor &sink, Ohms resistance,
-               Volts diode_drop, Seconds dt, TransferCache *cache)
-{
-    react_assert(resistance > Ohms(0),
-                 "transfer resistance must be positive");
-    react_assert(diode_drop >= Volts(0), "diode drop must be >= 0");
-
-    TransferResult result;
-    const Volts dv = source.voltage() - sink.voltage() - diode_drop;
-    if (dv <= Volts(0) || dt <= Seconds(0))
-        return result;
-
-    const Farads c1 = source.capacitance();
-    const Farads c2 = sink.capacitance();
-    Farads ceq;
-    double decay;
-    if (cache != nullptr && cache->c1 == c1 && cache->c2 == c2 &&
-        cache->resistance == resistance && cache->dt == dt) {
-        ceq = cache->ceq;
-        decay = cache->decay;
-        ++hotloop::counters().transferCacheHits;
-    } else {
-        ceq = c1 * c2 / (c1 + c2);
-        const Seconds tau = resistance * ceq;
-        // The excess voltage difference (above the diode drop) relaxes
-        // exponentially; the transferred charge is the integral of the
-        // current.
-        decay = std::exp(-dt / tau);
-        if (cache != nullptr) {
-            *cache = TransferCache{c1, c2, resistance, dt, ceq, decay};
-            ++hotloop::counters().transferCacheMisses;
-        }
-    }
-    const Coulombs q = ceq * dv * (1.0 - decay);
-
-    const Joules e_before = source.energy() + sink.energy();
-    source.addCharge(-q);
-    sink.addCharge(q);
-    const Joules e_after = source.energy() + sink.energy();
-
-    result.charge = q;
-    result.diodeLoss = diode_drop * q;
-    result.resistiveLoss = e_before - e_after - result.diodeLoss;
-    // Numerical guard: the closed form keeps this non-negative, but clamp
-    // rounding noise so ledgers never accumulate negative loss.
-    result.resistiveLoss = std::max(result.resistiveLoss, Joules(0.0));
-    return result;
-}
-
-TransferResult
-chargeFromPower(Capacitor &sink, Watts power, Seconds dt, Volts diode_drop,
-                Volts v_floor)
-{
-    TransferResult result;
-    if (power <= Watts(0) || dt <= Seconds(0))
-        return result;
-
-    const Volts v_eff = std::max(sink.voltage() + diode_drop, v_floor);
-    const Amps current = power / v_eff;
-    const Coulombs q = current * dt;
-
-    sink.addCharge(q);
-    result.charge = q;
-    result.diodeLoss = diode_drop * q;
-    return result;
-}
 
 Joules
 equalizeParallel(Capacitor &a, Capacitor &b)

@@ -17,7 +17,12 @@
 #ifndef REACT_SIM_CHARGE_TRANSFER_HH
 #define REACT_SIM_CHARGE_TRANSFER_HH
 
+#include <algorithm>
+#include <cmath>
+
 #include "sim/capacitor.hh"
+#include "sim/hotloop_stats.hh"
+#include "util/logging.hh"
 
 namespace react {
 namespace sim {
@@ -62,13 +67,46 @@ struct TransferCache
 };
 
 /**
+ * The capacitance and voltage behind a pair of terminals, with
+ * Capacitor's charge and energy arithmetic but no rating, leak or part
+ * spec.  A REACT bank presents one to the integrators below: they move
+ * charge on it, and the bank writes the charge back through its own
+ * series/parallel arithmetic (CapacitorBank::terminal()).  energy() and
+ * addCharge() are the same expressions as Capacitor's, so a transfer
+ * gives the same bits on a Terminal as on a Capacitor of the same
+ * capacitance and voltage.
+ */
+struct Terminal
+{
+    Farads c{0.0};
+    Volts v{0.0};
+
+    Farads capacitance() const { return c; }
+    Volts voltage() const { return v; }
+    Joules energy() const { return units::capEnergy(c, v); }
+
+    void addCharge(Coulombs dq)
+    {
+        v += dq / c;
+        if (v < Volts(0))
+            v = Volts(0);
+    }
+};
+
+// transferCharge() and chargeFromPower() run on every REACT and static
+// step, so they are templates defined here: they inline into the
+// buffer's step() on either a Capacitor or a Terminal.  Only
+// equalizeParallel(), which runs at reconfiguration, stays out of line
+// in charge_transfer.cc.
+
+/**
  * Move charge from @p source to @p sink through a series resistance and an
  * optional fixed diode drop, integrating the exact exponential relaxation
  * over the timestep.  No transfer occurs unless the source exceeds the sink
  * by more than the drop (diode semantics).
  *
- * @param source Higher-potential capacitor (discharges).
- * @param sink Lower-potential capacitor (charges).
+ * @param source Higher-potential Capacitor or Terminal (discharges).
+ * @param sink Lower-potential Capacitor or Terminal (charges).
  * @param resistance Series resistance (> 0).
  * @param diode_drop Fixed forward drop (>= 0).
  * @param dt Timestep.
@@ -76,17 +114,64 @@ struct TransferCache
  *        (bit-identical results either way).
  * @return Charge moved and the losses incurred.
  */
-TransferResult transferCharge(Capacitor &source, Capacitor &sink,
-                              Ohms resistance, Volts diode_drop,
-                              Seconds dt, TransferCache *cache = nullptr);
+template <typename Source, typename Sink>
+TransferResult
+transferCharge(Source &source, Sink &sink, Ohms resistance,
+               Volts diode_drop, Seconds dt, TransferCache *cache = nullptr)
+{
+    react_assert(resistance > Ohms(0),
+                 "transfer resistance must be positive");
+    react_assert(diode_drop >= Volts(0), "diode drop must be >= 0");
+
+    TransferResult result;
+    const Volts dv = source.voltage() - sink.voltage() - diode_drop;
+    if (dv <= Volts(0) || dt <= Seconds(0))
+        return result;
+
+    const Farads c1 = source.capacitance();
+    const Farads c2 = sink.capacitance();
+    Farads ceq;
+    double decay;
+    if (cache != nullptr && cache->c1 == c1 && cache->c2 == c2 &&
+        cache->resistance == resistance && cache->dt == dt) {
+        ceq = cache->ceq;
+        decay = cache->decay;
+        ++hotloop::counters().transferCacheHits;
+    } else {
+        ceq = c1 * c2 / (c1 + c2);
+        const Seconds tau = resistance * ceq;
+        // The excess voltage difference (above the diode drop) relaxes
+        // exponentially; the transferred charge is the integral of the
+        // current.
+        decay = std::exp(-dt / tau);
+        if (cache != nullptr) {
+            *cache = TransferCache{c1, c2, resistance, dt, ceq, decay};
+            ++hotloop::counters().transferCacheMisses;
+        }
+    }
+    const Coulombs q = ceq * dv * (1.0 - decay);
+
+    const Joules e_before = source.energy() + sink.energy();
+    source.addCharge(-q);
+    sink.addCharge(q);
+    const Joules e_after = source.energy() + sink.energy();
+
+    result.charge = q;
+    result.diodeLoss = diode_drop * q;
+    result.resistiveLoss = e_before - e_after - result.diodeLoss;
+    // Numerical guard: the closed form keeps this non-negative, but clamp
+    // rounding noise so ledgers never accumulate negative loss.
+    result.resistiveLoss = std::max(result.resistiveLoss, Joules(0.0));
+    return result;
+}
 
 /**
- * Charge a capacitor from a constant-power source (the harvester frontend)
- * through an input diode.  The delivered current is P / (V + drop), floored
- * at a converter-dependent minimum voltage so cold-start currents stay
- * physical.
+ * Charge a Capacitor or Terminal from a constant-power source (the
+ * harvester frontend) through an input diode.  The delivered current is
+ * P / (V + drop), floored at a converter-dependent minimum voltage so
+ * cold-start currents stay physical.
  *
- * @param sink Capacitor being charged.
+ * @param sink Capacitor or Terminal being charged.
  * @param power Source power.
  * @param dt Timestep.
  * @param diode_drop Input diode drop.
@@ -95,9 +180,24 @@ TransferResult transferCharge(Capacitor &source, Capacitor &sink,
  *         'charge' is the charge delivered, 'diodeLoss' the diode
  *         dissipation; resistiveLoss is always 0.
  */
-TransferResult chargeFromPower(Capacitor &sink, Watts power, Seconds dt,
-                               Volts diode_drop = Volts(0.0),
-                               Volts v_floor = Volts(0.2));
+template <typename Sink>
+TransferResult
+chargeFromPower(Sink &sink, Watts power, Seconds dt,
+                Volts diode_drop = Volts(0.0), Volts v_floor = Volts(0.2))
+{
+    TransferResult result;
+    if (power <= Watts(0) || dt <= Seconds(0))
+        return result;
+
+    const Volts v_eff = std::max(sink.voltage() + diode_drop, v_floor);
+    const Amps current = power / v_eff;
+    const Coulombs q = current * dt;
+
+    sink.addCharge(q);
+    result.charge = q;
+    result.diodeLoss = diode_drop * q;
+    return result;
+}
 
 /**
  * Instantaneously connect two capacitors in parallel and equalize them

@@ -9,12 +9,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/react_buffer.hh"
+#include "harness/grid.hh"
 #include "intermittent/nonvolatile.hh"
 #include "sim/fault_injector.hh"
 #include "snapshot/snapshot.hh"
+#include "trace/paper_traces.hh"
 #include "util/rng.hh"
 #include "util/units.hh"
 
@@ -379,6 +384,117 @@ TEST(FaultSnapshot, RestoredInjectorReplaysTheExactSchedule)
     }
     EXPECT_EQ(restored.faultCount(), live.faultCount());
     EXPECT_EQ(restored.recoveryCount(), live.recoveryCount());
+}
+
+// ---------------------------------------------------------------------
+// Fault paths pinned bit for bit.  The goldens run fault-free, so they
+// do not reach REACT's shorted-diode back transfer, the slow-switch
+// landing, or either buffer's capacitance fade.  One RF cell per
+// reconfigurable buffer runs under a plan that fires all of them; its
+// state digest, counters, residual energy and the raw bits of every
+// ledger category are literals.  They move only if the faulted physics
+// changes.  (The digest alone would not do: it is a CRC-32 over an
+// image that ends in its own section CRC, so it depends only on the
+// image length.)
+// ---------------------------------------------------------------------
+
+FaultPlan
+pinnedFaultPlan()
+{
+    FaultPlan plan;
+    plan.switchSlowProbability = 0.3;
+    plan.capacitanceFadePerHour = 0.5;
+    plan.esrRisePerHour = 2.0;
+    plan.diodeFailuresPerHour = 8.0;
+    plan.diodeShortFraction = 0.5;
+    return plan;
+}
+
+uint64_t
+bitsOf(double raw)
+{
+    uint64_t bits = 0;
+    std::memcpy(&bits, &raw, sizeof bits);
+    return bits;
+}
+
+/** Count of logged events of @p kind on a component whose name
+ *  contains @p part. */
+int
+loggedEvents(const harness::ExperimentResult &r, FaultEventKind kind,
+             const std::string &part)
+{
+    int n = 0;
+    for (const sim::FaultEvent &e : r.faultLog) {
+        if (e.kind == kind && e.component.find(part) != std::string::npos)
+            ++n;
+    }
+    return n;
+}
+
+struct CellPin
+{
+    uint32_t digest;
+    uint64_t steps, workUnits, faultEvents, residualEnergy;
+    uint64_t harvested, delivered, clipped, leaked, switchLoss, diodeLoss,
+        overhead, faultLoss;
+};
+
+void
+expectPinned(const harness::ExperimentResult &r, const CellPin &pin)
+{
+    EXPECT_EQ(r.stateDigest, pin.digest);
+    EXPECT_EQ(r.steps, pin.steps);
+    EXPECT_EQ(r.workUnits, pin.workUnits);
+    EXPECT_EQ(r.faultEvents, pin.faultEvents);
+    EXPECT_EQ(bitsOf(r.residualEnergy), pin.residualEnergy);
+    EXPECT_EQ(bitsOf(r.ledger.harvested.raw()), pin.harvested);
+    EXPECT_EQ(bitsOf(r.ledger.delivered.raw()), pin.delivered);
+    EXPECT_EQ(bitsOf(r.ledger.clipped.raw()), pin.clipped);
+    EXPECT_EQ(bitsOf(r.ledger.leaked.raw()), pin.leaked);
+    EXPECT_EQ(bitsOf(r.ledger.switchLoss.raw()), pin.switchLoss);
+    EXPECT_EQ(bitsOf(r.ledger.diodeLoss.raw()), pin.diodeLoss);
+    EXPECT_EQ(bitsOf(r.ledger.overhead.raw()), pin.overhead);
+    EXPECT_EQ(bitsOf(r.ledger.faultLoss.raw()), pin.faultLoss);
+}
+
+harness::ExperimentResult
+runPinnedCell(harness::BufferKind kind)
+{
+    harness::ExperimentConfig cfg;
+    cfg.faultPlan = pinnedFaultPlan();
+    return harness::runGridCell(kind, harness::BenchmarkKind::SenseCompute,
+                                trace::PaperTrace::RfCart, cfg);
+}
+
+TEST(FaultPathPin, ReactRfCellUnderFadeDiodeAndSlowSwitchFaults)
+{
+    const auto r = runPinnedCell(harness::BufferKind::React);
+    // The plan reaches the paths the pin is for.
+    EXPECT_GT(loggedEvents(r, FaultEventKind::DiodeShort, ".diode.out"), 0);
+    EXPECT_GT(loggedEvents(r, FaultEventKind::DiodeOpen, ".diode"), 0);
+    EXPECT_GT(loggedEvents(r, FaultEventKind::SwitchSlow, ".switch"), 0);
+    EXPECT_GT(r.ledger.faultLoss.raw(), 0.0);
+    expectPinned(r, CellPin{0xca752d77u, 415487u, 77u, 13u,
+                            0x3f988037176b0a71u, 0x3fe53bdb584b4b5fu,
+                            0x3fdad7b3271005a0u, 0x3fc4e64904b0052cu,
+                            0x3f920d8a27732bffu, 0x3f66ac846eac2080u,
+                            0x3f62f01cef0ea7f2u, 0x3f9e26fa25c2a1c4u,
+                            0x3f7396838a426ecdu});
+}
+
+TEST(FaultPathPin, MorphyRfCellUnderFadeAndSlowSwitchFaults)
+{
+    const auto r = runPinnedCell(harness::BufferKind::Morphy);
+    EXPECT_GT(loggedEvents(r, FaultEventKind::SwitchSlow, "morphy.fabric"),
+              0);
+    EXPECT_GT(r.ledger.faultLoss.raw(), 0.0);
+    expectPinned(r, CellPin{0xf09fcc02u, 425183u, 78u, 14u,
+                            0x3f66bf719f8310c1u, 0x3fe53bfb9275ce2au,
+                            0x3fdb43b371a29281u, 0x3fc774cd0001b04cu,
+                            0x3f9d1678a6a202c6u, 0x3f9796f7fb9d2b34u,
+                            0x0000000000000000u, 0x0000000000000000u,
+                            0x3f18745e50353324u});
 }
 
 } // namespace

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "buffers/capacitor_network.hh"
 #include "snapshot/snapshot.hh"
 #include "util/units.hh"
@@ -180,7 +183,7 @@ TEST(Network, LeakDrainsAllUnits)
     net.setUnitVoltage(0, Volts(3.0));
     net.setUnitVoltage(1, Volts(2.0));
     const Joules e_before = net.storedEnergy();
-    const Joules lost = net.leak(Seconds(10.0));
+    const Joules lost = net.leak(Seconds(10.0)).lost;
     EXPECT_GT(lost.raw(), 0.0);
     EXPECT_NEAR(net.storedEnergy().raw(), (e_before - lost).raw(), 1e-15);
     EXPECT_LT(net.unitVoltage(0).raw(), 3.0);
@@ -216,6 +219,86 @@ TEST(Network, EquivalentCapacitanceFollowsArrangementAndRestore)
     r.endSection();
     EXPECT_EQ(net.equivalentCapacitance().raw(),
               mixed.equivalentCapacitance(Farads(2e-3)).raw());
+}
+
+TEST(Network, RestoreRejectsMixedOrBadUnitsAndLeavesNetworkUntouched)
+{
+    // The per-branch charge step divides by one unit capacitance for
+    // every member, so a checkpoint whose units disagree -- or hold a
+    // value no capacitor can -- is rejected before any unit changes.
+    const auto image = [](const std::vector<std::pair<double, double>> &u) {
+        snapshot::SnapshotWriter w;
+        w.beginSection("net");
+        w.u32(static_cast<uint32_t>(u.size()));
+        for (const auto &[c, v] : u) {
+            w.f64(c);
+            w.f64(v);
+        }
+        w.endSection();
+        return w.finish();
+    };
+    const auto restore = [](CapacitorNetwork &net,
+                            const std::vector<uint8_t> &bytes) {
+        snapshot::SnapshotReader r(bytes);
+        r.beginSection("net");
+        net.restore(r);
+        r.endSection();
+    };
+    CapacitorNetwork net(3, unitSpec(Farads(1e-3)));
+    net.reconfigure(parallelConfig(2));
+    net.setUnitVoltage(0, Volts(1.0));
+    net.setUnitVoltage(1, Volts(1.0));
+    net.setUnitVoltage(2, Volts(0.5));
+    const double eq_before = net.equivalentCapacitance().raw();
+    const double e_before = net.storedEnergy().raw();
+
+    const std::vector<std::vector<std::pair<double, double>>> lies = {
+        {{2e-3, 2.0}, {3e-3, 2.0}, {2e-3, 2.0}},   // mixed capacitance
+        {{2e-3, 2.0}, {2e-3, 2.0}, {0.0, 2.0}},    // zero capacitance
+        {{2e-3, 2.0}, {2e-3, -1.0}, {2e-3, 2.0}},  // negative voltage
+    };
+    for (const auto &lie : lies) {
+        EXPECT_THROW(restore(net, image(lie)), snapshot::SnapshotError);
+        EXPECT_EQ(net.equivalentCapacitance().raw(), eq_before);
+        EXPECT_EQ(net.storedEnergy().raw(), e_before);
+        EXPECT_EQ(net.unitVoltage(0).raw(), 1.0);
+    }
+    restore(net, image({{2e-3, 2.0}, {2e-3, 2.0}, {2e-3, 2.0}}));
+    EXPECT_EQ(net.equivalentCapacitance().raw(), 4e-3);
+    EXPECT_EQ(net.unitVoltage(2).raw(), 2.0);
+}
+
+TEST(Network, ChargesInOneSweepMatchOneCallEach)
+{
+    // addChargesAtOutput() is the one-sweep form of addChargeAtOutput()
+    // followed by storedEnergy(), once per charge: the same unit voltages
+    // and the same sums, bit for bit.  The arrangement has two
+    // single-unit branches sharing one step, two series chains, a
+    // disconnected unit, and the last charge floors every unit at 0 V.
+    NetworkConfig mixed;
+    mixed.branches = {{4, 1}, {2}, {0, 5, 3}, {6}};
+    const auto prime = [&mixed](CapacitorNetwork &net) {
+        for (int i = 0; i < net.unitCount(); ++i)
+            net.setUnitVoltage(i, Volts(0.3 + 0.1 * i));
+        net.reconfigure(mixed);
+    };
+    CapacitorNetwork swept(8, unitSpec());
+    CapacitorNetwork stepped(8, unitSpec());
+    prime(swept);
+    prime(stepped);
+
+    const Coulombs dq[] = {Coulombs(1e-4), Coulombs(-2e-3), Coulombs(5e-4),
+                           Coulombs(-1e-2)};
+    Joules sums[4];
+    swept.addChargesAtOutput(dq, 4, sums);
+    for (int p = 0; p < 4; ++p) {
+        stepped.addChargeAtOutput(dq[p]);
+        EXPECT_EQ(sums[p].raw(), stepped.storedEnergy().raw()) << p;
+    }
+    for (int i = 0; i < 8; ++i)
+        EXPECT_EQ(swept.unitVoltage(i).raw(), stepped.unitVoltage(i).raw())
+            << i;
+    EXPECT_EQ(swept.outputVoltage().raw(), 0.0);
 }
 
 TEST(Network, ClipOutputBurnsExcess)

@@ -65,11 +65,14 @@ TEST(ParallelRunner, ExecutesEveryCellExactlyOnce)
 
 TEST(ParallelRunner, TimingsFollowSubmissionOrder)
 {
+    // The caller and the spawned worker may each claim one cell, so the
+    // cells share only an atomic counter.
     ParallelRunner runner(2);
-    int unused = 0;
-    runner.submit("alpha", [&]() { unused += 1; });
-    runner.submit("beta", [&]() { unused += 1; });
+    std::atomic<int> ran{0};
+    runner.submit("alpha", [&ran]() { ran.fetch_add(1); });
+    runner.submit("beta", [&ran]() { ran.fetch_add(1); });
     runner.run();
+    EXPECT_EQ(ran.load(), 2);
     ASSERT_EQ(runner.timings().size(), 2u);
     EXPECT_EQ(runner.timings()[0].label, "alpha");
     EXPECT_EQ(runner.timings()[1].label, "beta");

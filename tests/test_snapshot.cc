@@ -537,6 +537,105 @@ TEST_F(SnapshotFileTest, PreviousLayoutCheckpointColdStartsWithDiagnostic)
     }
 }
 
+/**
+ * Re-frame a snapshot image with the f64 at payload byte @p at of
+ * section @p name replaced by @p value.  Like withExtraU64, every section
+ * is re-emitted through SnapshotWriter, so each CRC is valid.
+ */
+std::vector<uint8_t>
+withPatchedF64(const std::vector<uint8_t> &image, const std::string &name,
+               size_t at, double value)
+{
+    const auto le = [&image](size_t pos, int bytes) {
+        uint64_t v = 0;
+        for (int i = 0; i < bytes; ++i)
+            v |= static_cast<uint64_t>(image[pos + i]) << (8 * i);
+        return v;
+    };
+    SnapshotWriter w;
+    const uint64_t count = le(8, 4);
+    size_t pos = 12;  // magic, version, section count
+    for (uint64_t s = 0; s < count; ++s) {
+        const size_t name_len = image[pos];
+        const std::string section(image.begin() + pos + 1,
+                                  image.begin() + pos + 1 + name_len);
+        const size_t payload_len = le(pos + 1 + name_len, 8);
+        const size_t payload = pos + 1 + name_len + 8;
+        w.beginSection(section);
+        for (size_t i = 0; i < payload_len; ++i) {
+            if (section == name && i == at) {
+                w.f64(value);
+                i += 7;
+                continue;
+            }
+            w.u8(image[payload + i]);
+        }
+        w.endSection();
+        pos = payload + payload_len + 4;  // payload, CRC
+    }
+    return w.finish();
+}
+
+TEST_F(SnapshotFileTest, MorphyCheckpointWithMixedUnitCapacitancesColdStarts)
+{
+    // A CRC-valid Morphy checkpoint whose pooled units disagree in
+    // capacitance.  The network moves every member of a branch by one
+    // voltage step divided by a single unit capacitance, so it cannot
+    // represent such a pool: restore must reject the image and the run
+    // cold-start, finishing bit-identical to a fresh run.
+    CellFixture cell;
+    const auto run_morphy = [&cell](const harness::ExperimentConfig &cfg) {
+        auto buffer = harness::makeBuffer(harness::BufferKind::Morphy);
+        auto benchmark = harness::makeBenchmark(
+            harness::BenchmarkKind::SenseCompute,
+            cell.power.duration() + 30.0, 1234);
+        harvest::HarvesterFrontend frontend(cell.power);
+        return harness::runExperiment(*buffer, benchmark.get(), frontend,
+                                      cfg);
+    };
+    const auto fresh = run_morphy(cell.config);
+    ASSERT_GT(fresh.steps, 5000u);
+
+    auto crash_cfg = cell.config;
+    crash_cfg.checkpointPath = path;
+    crash_cfg.checkpointEverySteps = 1000;
+    crash_cfg.haltAfterSteps = fresh.steps / 2;
+    ASSERT_TRUE(run_morphy(crash_cfg).halted);
+    const SnapshotLoad mid = loadSnapshotFile(path);
+    ASSERT_TRUE(mid.ok);
+
+    // The buffer section holds the ledger (64 B), the task capacitor
+    // (16 B) and the unit count (4 B), then each unit's capacitance and
+    // voltage as two f64s.  Unit 1's capacitance is 2 mF.
+    const size_t unit1_capacitance = 64 + 16 + 4 + 16;
+    auto resume_cfg = cell.config;
+    resume_cfg.checkpointPath = path;
+    resume_cfg.resume = true;
+
+    // The offset is right: writing back the same value resumes.
+    ASSERT_TRUE(saveSnapshotFile(
+        path, withPatchedF64(mid.image, "buffer", unit1_capacitance, 2e-3)));
+    const auto same = run_morphy(resume_cfg);
+    EXPECT_TRUE(same.resumed);
+    EXPECT_EQ(same.stateDigest, fresh.stateDigest);
+
+    ASSERT_TRUE(saveSnapshotFile(
+        path, withPatchedF64(mid.image, "buffer", unit1_capacitance, 3e-3)));
+    const auto resumed = run_morphy(resume_cfg);
+    EXPECT_FALSE(resumed.resumed);
+    EXPECT_NE(resumed.snapshotDiagnostic.find("rejected"), std::string::npos)
+        << resumed.snapshotDiagnostic;
+    EXPECT_NE(resumed.snapshotDiagnostic.find("capacitances differ"),
+              std::string::npos)
+        << resumed.snapshotDiagnostic;
+    EXPECT_EQ(resumed.stateDigest, fresh.stateDigest);
+    EXPECT_EQ(resumed.steps, fresh.steps);
+    EXPECT_EQ(resumed.workUnits, fresh.workUnits);
+    EXPECT_EQ(resumed.ledger.harvested.raw(), fresh.ledger.harvested.raw());
+    EXPECT_EQ(resumed.ledger.switchLoss.raw(),
+              fresh.ledger.switchLoss.raw());
+}
+
 TEST_F(SnapshotFileTest, CheckpointBytesAndDigestArePinned)
 {
     // A REACT + PF cell (REACT's FRAM-backed controller state, PF's
